@@ -30,12 +30,12 @@ from .numlin import (
 )
 from .polyform import (
     AWParams,
-    MonomialPoly,
     RacahParams,
+    Recurrence,
     aw_eval,
     aw_rational_eval,
-    monomial_coefficients,
     racah_eval,
+    recurrence_coefficients,
     x_to_z,
     z_to_x,
 )
@@ -68,11 +68,11 @@ __all__ = [
     "DegenerateDenominator",
     "FlowState",
     "LengthMismatch",
-    "MonomialPoly",
     "NoConvergence",
     "PerturbationState",
     "QZerosError",
     "RacahParams",
+    "Recurrence",
     "SingularConfiguration",
     "SingularTrajectory",
     "SpectralMatrix",
@@ -95,11 +95,11 @@ __all__ = [
     "match_spectra",
     "modified_qpochhammer",
     "modified_qpochhammer_derivative",
-    "monomial_coefficients",
     "phi43_terminating",
     "qpochhammer",
     "racah_eval",
     "racah_velocity",
+    "recurrence_coefficients",
     "resolve_tolerances",
     "velocity_for",
     "x_to_z",

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
+import mpmath
 import numpy as np
 
 from .errors import QZerosError, SingularConfiguration
@@ -32,10 +33,9 @@ from .numlin import (
     compute_zero_set,
     determinant,
     eigenvalues,
-    horner_hp,
     match_spectra,
 )
-from .polyform import AWParams, ComplexScalar, monomial_coefficients, z_to_x
+from .polyform import WORKING_DPS, AWParams, ComplexScalar, _mpc
 from .qkernel import qpochhammer
 from .report import (
     VerificationReport,
@@ -226,21 +226,33 @@ def prop21_residuals(p: AWParams, zs: ZeroSet) -> np.ndarray:
     to the point that a double-rounded zero cannot satisfy it to 1e-8 at
     all; where the zero set carries its pre-rounding zeros and they still
     agree with the stored doubles, the residual is therefore evaluated at
-    the high-precision zeros. A zero set whose ``zbar`` was perturbed or
-    hand-built falls back to the double route and reports honestly large
+    the high-precision zeros. p_N is evaluated through the zero set's
+    mpmath recurrence. A zero set whose ``zbar`` was perturbed or
+    hand-built is measured at its doubles and reports honestly large
     residuals.
     """
-    poly = monomial_coefficients(p)
+    rec = zs.recurrence_for(p)
     out = np.empty(len(zs.zbar))
-    for i, z in enumerate(zs.zbar):
-        eval_A(p, z)  # enforce the guards on the stored zero
-        hp = _zero_hp_matching(zs, i)
-        if hp is not None:
-            out[i] = _prop21_residual_hp(p, poly.coeffs_hp, hp)
-            continue
-        t1 = eval_A(p, z) * horner_hp(poly.coeffs_hp, z_to_x(p.q * z))
-        t2 = eval_A(p, 1.0 / z) * horner_hp(poly.coeffs_hp, z_to_x(z / p.q))
-        out[i] = abs(t1 + t2) / (abs(t1) + abs(t2) + _FLOOR)
+    with mpmath.workdps(WORKING_DPS):
+        q = _mpc(p.q)
+        abcd = [_mpc(v) for v in (p.a, p.b, p.c, p.d)]
+
+        def a_of(z):
+            num = mpmath.mpc(1)
+            for c in abcd:
+                num *= 1 - c * z
+            return num / ((1 - z * z) * (1 - q * z * z))
+
+        def p_at(w):
+            return rec.value((w * w + 1) / (2 * w))
+
+        for i, z in enumerate(zs.zbar):
+            eval_A(p, z)  # enforce the guards on the stored zero
+            hp = _zero_hp_matching(zs, i)
+            z_hp = _mpc(z) if hp is None else hp
+            t1 = a_of(z_hp) * p_at(q * z_hp)
+            t2 = a_of(1 / z_hp) * p_at(z_hp / q)
+            out[i] = float(abs(t1 + t2) / (abs(t1) + abs(t2) + _FLOOR))
     return out
 
 
@@ -254,11 +266,7 @@ def _zero_hp_matching(zs: ZeroSet, i: int):
     """
     if zs.zeros_hp is None:
         return None
-    import mpmath
-
-    from .polyform import COEFF_WORKING_DPS
-
-    with mpmath.workdps(COEFF_WORKING_DPS):
+    with mpmath.workdps(WORKING_DPS):
         x = zs.zeros_hp[i]
         w = x + mpmath.sqrt(x * x - 1)
         target = zs.zbar[i]
@@ -266,33 +274,6 @@ def _zero_hp_matching(zs: ZeroSet, i: int):
         if abs(complex(best) - target) <= 1e-12 * max(1.0, abs(target)):
             return best
     return None
-
-
-def _prop21_residual_hp(p: AWParams, coeffs_hp: list, z_hp) -> float:
-    import mpmath
-
-    from .polyform import COEFF_WORKING_DPS
-
-    with mpmath.workdps(COEFF_WORKING_DPS):
-        q = mpmath.mpc(complex(p.q).real, complex(p.q).imag)
-        abcd = [mpmath.mpc(complex(v).real, complex(v).imag) for v in (p.a, p.b, p.c, p.d)]
-
-        def a_of(z):
-            num = mpmath.mpc(1)
-            for c in abcd:
-                num *= 1 - c * z
-            return num / ((1 - z * z) * (1 - q * z * z))
-
-        def p_at(w):
-            x = (w * w + 1) / (2 * w)
-            v = mpmath.mpc(0)
-            for c in reversed(coeffs_hp):
-                v = v * x + c
-            return v
-
-        t1 = a_of(z_hp) * p_at(q * z_hp)
-        t2 = a_of(1 / z_hp) * p_at(z_hp / q)
-        return float(abs(t1 + t2) / (abs(t1) + abs(t2) + _FLOOR))
 
 
 def apply_Q_operator(
@@ -388,7 +369,7 @@ def verify_corollaries(
     for t in t_values:
         try:
             swept = replace(p, a=t * p.a, b=p.b / t)
-            m_swept = build_matrix_M(swept, compute_zero_set(swept))
+            m_swept = build_matrix_M(swept, compute_zero_set(swept, polish=False))
         except (QZerosError, ValueError):
             # this scaling lands outside the admissible parameter set;
             # isospectrality is only claimed within it

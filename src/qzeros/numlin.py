@@ -1,22 +1,23 @@
 """Numerical kernels: zero finding, eigenvalues, determinants, matching.
 
-Zero finding seeds from companion-matrix eigenvalues of the monomial form
-and polishes each seed with Newton steps. Two polished candidates are
-produced per seed, one driven by the structured (sum form) evaluator and
-one by extended-precision Horner on the monomial coefficients, and the one
-with the smaller accurately-measured residual wins. The q-series sum forms
-suffer enormous internal cancellation at small q and larger N (term
-magnitudes many orders above the polynomial values), so the Horner route
-is what reliably reaches the residual certificate; the structured route is
-kept as an independent candidate and is exercised throughout the identity
-checks. Zeros are returned sorted ascending by (real, imaginary) so
-repeated runs produce identical sequences.
+Zero finding follows Golub & Welsch (Math. Comp. 23, 1969): the N zeros of
+a family polynomial are the eigenvalues of the N x N tridiagonal (Jacobi)
+matrix of its monic three-term recurrence (Koekoek-Lesky-Swarttouw 2010,
+eq. 14.1.4 for Askey-Wilson and eq. 14.2.3 for q-Racah; see
+``polyform.recurrence_coefficients``). The double-precision eigenvalues
+seed one Newton polish per zero on the recurrence and its differentiated
+form, in mpmath at ``polyform.WORKING_DPS`` digits, or in double where only
+spectra at 1e-6 are needed. Unlike the q-series sums or a monomial
+expansion, the recurrence does not cancel catastrophically at small q and
+large N. Each zero is certified by its final Newton step; zeros are
+returned sorted ascending by (real, imaginary) so repeated runs produce
+identical sequences.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -27,22 +28,20 @@ from .errors import DegenerateConfiguration, LengthMismatch, NoConvergence
 from .polyform import (
     AWParams,
     ComplexScalar,
-    MonomialPoly,
     RacahParams,
-    aw_eval,
-    monomial_coefficients,
-    racah_eval,
+    Recurrence,
+    recurrence_coefficients,
     x_to_z,
 )
 
-#: Polished zeros must satisfy |p(zero)| / scale <= this bound.
+#: A double-precision polish must end on a relative Newton step at most this large.
 RESIDUAL_BOUND = 1e-10
 #: Pairwise zero separations below this fraction of the spread are rejected.
 DEGENERACY_THRESHOLD = 1e-8
 #: Newton iteration cap per seed.
 MAX_NEWTON_STEPS = 50
-
-Evaluator = Callable[[ComplexScalar], tuple[ComplexScalar, ComplexScalar]]
+#: A double-precision polish stops once its relative Newton step is this small.
+_DOUBLE_STEP_TARGET = 1e-15
 
 
 @dataclass
@@ -55,11 +54,15 @@ class ZeroSet:
     directly and ``xbar`` is None. ``min_separation`` is the smallest
     pairwise distance within ``zbar`` (infinity when N = 1).
 
+    ``residuals[i]`` is the size of the final Newton step that certified
+    zero i, relative to max(1, |zero|), in the variable of the recurrence.
+
     ``zeros_hp``, when present, holds the same zeros (x-plane for
-    Askey-Wilson, z-plane for q-Racah) before the rounding to double; the
-    identity-residual checks use it where the double representation alone
-    cannot resolve the identity, after verifying per zero that it still
-    matches the stored doubles.
+    Askey-Wilson, z-plane for q-Racah) before the rounding to double, and
+    ``recurrence_hp`` the mpmath recurrence they were polished on; the
+    identity-residual checks evaluate P_N through it at the high-precision
+    zeros, after verifying per zero that they still match the stored
+    doubles. Both are None for an unpolished (double-precision) zero set.
     """
 
     family: str
@@ -69,6 +72,13 @@ class ZeroSet:
     residuals: np.ndarray
     min_separation: float
     zeros_hp: Optional[list] = None
+    recurrence_hp: Optional[Recurrence] = None
+
+    def recurrence_for(self, params: Union[AWParams, RacahParams]) -> Recurrence:
+        """The carried mpmath recurrence when it belongs to params, else a fresh one."""
+        if self.recurrence_hp is not None and self.params == params:
+            return self.recurrence_hp
+        return recurrence_coefficients(params, hp=True)
 
 
 @dataclass
@@ -93,136 +103,69 @@ class SpectrumMatch:
     max_rel_gap: float
 
 
-def _companion_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
-    monic = coeffs / coeffs[-1]
-    n = len(coeffs) - 1
-    comp = np.zeros((n, n), dtype=complex)
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -monic[:-1]
-    return np.linalg.eigvals(comp)
+def _jacobi_eigenvalues(rec: Recurrence) -> np.ndarray:
+    """Double-precision zeros of P_N: eigenvalues of the symmetrized Jacobi matrix."""
+    diag = np.array([complex(v) for v in rec.b])
+    off = np.sqrt(np.array([complex(v) for v in rec.c[1:]]))
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise NoConvergence("three-term recurrence coefficients overflow double precision")
+    return np.linalg.eigvals(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
-def _sorted_by_re_im(values: np.ndarray) -> np.ndarray:
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
+def _newton(rec: Recurrence, x, target: float):
+    """Newton on P_N from x; returns (zero, final step relative to max(1, |zero|)).
 
-
-def horner_pair(coeffs: np.ndarray, x: complex) -> tuple[complex, complex]:
-    """(value, derivative) of the monomial polynomial at x, in extended precision.
-
-    Runs the Horner recurrence in numpy's clongdouble (80-bit significand on
-    x86), which drops the evaluation noise floor well below the residual
-    certificate even when the coefficients nearly cancel.
+    Stops at the target, or once the steps stop shrinking (the evaluation
+    noise floor).
     """
-    v = np.clongdouble(0.0)
-    d = np.clongdouble(0.0)
-    xl = np.clongdouble(x)
-    for c in coeffs[::-1]:
-        d = d * xl + v
-        v = v * xl + np.clongdouble(c)
-    return v, d
-
-
-def scaled_residual(coeffs: np.ndarray, x: complex) -> float:
-    """|p(x)| / (max|coeff| * max(1,|x|)^degree), measured in extended precision."""
-    v, _ = horner_pair(coeffs, x)
-    scale = float(np.max(np.abs(coeffs))) * max(1.0, abs(x)) ** (len(coeffs) - 1)
-    return float(abs(complex(v))) / scale
-
-
-def horner_hp(coeffs_hp: list, x: complex) -> complex:
-    """Polynomial value at x from the pre-rounding (mpmath) coefficients."""
-    import mpmath
-
-    from .polyform import COEFF_WORKING_DPS
-
-    with mpmath.workdps(COEFF_WORKING_DPS):
-        xl = mpmath.mpc(complex(x).real, complex(x).imag)
-        v = mpmath.mpc(0)
-        for c in reversed(coeffs_hp):
-            v = v * xl + c
-        return complex(v)
-
-
-def _newton(fn, x0: complex, tol_factor: float = 1e-15) -> complex:
-    x = complex(x0)
-    for _ in range(MAX_NEWTON_STEPS):
-        v, d = fn(x)
-        if v == 0 or d == 0:
-            break
-        step = complex(v / d)
-        x -= step
-        if abs(step) <= tol_factor * max(1.0, abs(x)):
-            break
-    return x
-
-
-def refine_hp(coeffs_hp: list, x0: complex):
-    """Newton-refine a zero against the pre-rounding coefficients.
-
-    Returns the high-precision zero (mpmath mpc at the extraction working
-    precision). Rounding it gives the double nearest the true zero, which
-    matters when the defining series cancels so strongly that the
-    double-rounded coefficients already cost several digits.
-    """
-    import mpmath
-
-    from .polyform import COEFF_WORKING_DPS
-
-    with mpmath.workdps(COEFF_WORKING_DPS):
-        x = mpmath.mpc(complex(x0).real, complex(x0).imag)
-        for _ in range(8):
-            v = mpmath.mpc(0)
-            d = mpmath.mpc(0)
-            for c in reversed(coeffs_hp):
-                d = d * x + v
-                v = v * x + c
-            if v == 0 or d == 0:
+    step_rel = math.inf
+    with rec.arithmetic():
+        for _ in range(MAX_NEWTON_STEPS):
+            v, d = rec.value_and_derivative(x)
+            if d == 0:
                 break
             step = v / d
-            x -= step
-            if abs(step) <= mpmath.mpf(10) ** -30 * max(1, abs(x)):
+            x = x - step
+            prev, step_rel = step_rel, float(abs(step)) / max(1.0, float(abs(x)))
+            if step_rel <= target or step_rel >= prev:
                 break
-        return x
+    return x, step_rel
 
 
-def find_polynomial_zeros(poly: MonomialPoly, evaluator: Evaluator) -> np.ndarray:
-    """All zeros of a degree >= 1 polynomial, companion-seeded and Newton-polished.
+def find_polynomial_zeros(rec: Recurrence) -> tuple[list, np.ndarray]:
+    """All zeros of the recurrence's P_N, Jacobi-seeded and Newton-polished once.
 
-    Each companion eigenvalue is polished twice, once with the structured
-    ``evaluator`` and once with extended-precision Horner on the monomial
-    coefficients; the candidate with the smaller Horner-measured residual
-    is kept. Raises DegenerateConfiguration when two polished zeros come
-    closer than 1e-8 times the zero spread, and NoConvergence when the
-    scaled residual bound cannot be met.
+    Polishing runs in the recurrence's own arithmetic: mpmath at ``rec.dps``
+    digits, where the final relative Newton step must reach
+    10^-(dps/2) (quadratic convergence then leaves the zero accurate to the
+    working precision), or double, where it must reach RESIDUAL_BOUND.
+    Returns the zeros in that arithmetic, sorted by the (real, imaginary)
+    parts of their doubles, with their final relative steps. Raises
+    NoConvergence when a step bound is missed and DegenerateConfiguration
+    when two zeros come closer than 1e-8 times the zero spread.
     """
-    coeffs = np.asarray(poly.coeffs, dtype=complex)
-    degree = len(coeffs) - 1
+    degree = rec.degree
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    if coeffs[-1] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    seeds = _companion_eigenvalues(coeffs)
-
-    zeros = np.empty(degree, dtype=complex)
-    for i, seed in enumerate(seeds):
-        candidates = [
-            _newton(lambda x: horner_pair(coeffs, x), seed),
-            _newton(evaluator, seed),
-        ]
-        best = min(candidates, key=lambda x: scaled_residual(coeffs, x))
-        if poly.coeffs_hp is not None:
-            best = complex(refine_hp(poly.coeffs_hp, best))
-        residual = scaled_residual(coeffs, best)
-        if residual > RESIDUAL_BOUND:
+    if rec.dps is None:
+        target = _DOUBLE_STEP_TARGET
+        bound = RESIDUAL_BOUND
+    else:
+        target = bound = 10.0 ** -(rec.dps // 2)
+    zeros, steps = [], []
+    for seed in _jacobi_eigenvalues(rec):
+        zero, step = _newton(rec, complex(seed), target)
+        if not step <= bound:
             raise NoConvergence(
-                f"zero polishing stalled at residual {residual:.3e} "
-                f"(bound {RESIDUAL_BOUND:.0e}) near {best}"
+                f"zero polishing stalled at relative Newton step {step:.3e} "
+                f"(bound {bound:.0e}) near {complex(zero)}"
             )
-        zeros[i] = best
+        zeros.append(zero)
+        steps.append(step)
 
+    values = np.array([complex(z) for z in zeros])
     if degree > 1:
-        diffs = np.abs(zeros[:, None] - zeros[None, :])
+        diffs = np.abs(values[:, None] - values[None, :])
         spread = float(diffs.max())
         off = diffs + np.diag(np.full(degree, np.inf))
         closest = float(off.min())
@@ -231,7 +174,8 @@ def find_polynomial_zeros(poly: MonomialPoly, evaluator: Evaluator) -> np.ndarra
                 f"two zeros separated by {closest:.3e} (spread {spread:.3e}); "
                 "downstream matrices divide by pairwise differences"
             )
-    return _sorted_by_re_im(zeros)
+    order = np.lexsort((values.imag, values.real))
+    return [zeros[i] for i in order], np.array(steps)[order]
 
 
 def eigenvalues(mat: np.ndarray) -> np.ndarray:
@@ -279,29 +223,26 @@ def match_spectra(
     )
 
 
-def compute_zero_set(params: Union[AWParams, RacahParams]) -> ZeroSet:
+def compute_zero_set(params: Union[AWParams, RacahParams], polish: bool = True) -> ZeroSet:
     """Find all N zeros of the family instance and package them as a ZeroSet.
 
+    With ``polish`` (the default) the zeros are polished in mpmath and the
+    zero set carries them and their recurrence at that precision. Without,
+    they are polished in double only, which is enough where just the
+    spectrum of the matrix built from them is compared at 1e-6.
     Degree 0 is rejected: a constant polynomial has no zeros.
     """
     if params.N < 1:
         raise ValueError("zero sets require degree N >= 1")
-    poly = monomial_coefficients(params)
+    rec = recurrence_coefficients(params, hp=polish)
+    polished, residuals = find_polynomial_zeros(rec)
+    zeros = np.array([complex(x) for x in polished])
     if isinstance(params, AWParams):
         family = "aw"
-        evaluator: Evaluator = lambda x: aw_eval(params, x)
-    else:
-        family = "racah"
-        evaluator = lambda z: racah_eval(params, z)
-    zeros = find_polynomial_zeros(poly, evaluator)
-    residuals = np.array([scaled_residual(poly.coeffs, x) for x in zeros])
-    zeros_hp = None
-    if poly.coeffs_hp is not None:
-        zeros_hp = [refine_hp(poly.coeffs_hp, x) for x in zeros]
-    if family == "aw":
         xbar = zeros
         zbar = np.array([x_to_z(x) for x in zeros])
     else:
+        family = "racah"
         xbar = None
         zbar = zeros
     if params.N > 1:
@@ -316,5 +257,6 @@ def compute_zero_set(params: Union[AWParams, RacahParams]) -> ZeroSet:
         xbar=xbar,
         residuals=residuals,
         min_separation=min_sep,
-        zeros_hp=zeros_hp,
+        zeros_hp=polished if polish else None,
+        recurrence_hp=rec if polish else None,
     )

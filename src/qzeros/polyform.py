@@ -1,4 +1,4 @@
-"""Askey-Wilson and q-Racah polynomials: parameters, evaluation, coefficients.
+"""Askey-Wilson and q-Racah polynomials: parameters, evaluation, recurrences.
 
 The Askey-Wilson polynomial of degree N in x is evaluated from its explicit
 sum over modified q-Pochhammer symbols,
@@ -13,18 +13,29 @@ and the q-Racah polynomial of degree N in z from
                    / [(q;q)_m (alpha*q;q)_m (beta*delta*q;q)_m (gamma*q;q)_m]
              * prod_{s<m} (1 - z q^s + gamma*delta*q^(2s+1)).
 
-Both evaluators return the exact derivative alongside the value. The
-related rational form P_N(z) = p_N((z^2+1)/(2z)) and the change of
-variables z = x + sqrt(x^2-1) (principal branch) live here too.
+Both evaluators return the exact derivative alongside the value. At small
+q and larger N the sum terms exceed the polynomial values by many orders of
+magnitude, so zero finding uses the monic three-term recurrences instead
+(Koekoek-Lesky-Swarttouw 2010, eq. 14.1.4 for Askey-Wilson in x and
+eq. 14.2.3 for q-Racah in z, monic forms 14.1.5 and 14.2.4):
+
+    t P_n(t) = P_{n+1}(t) + b_n P_n(t) + c_n P_{n-1}(t),   n = 0..N-1.
+
+P_N's zeros are the eigenvalues of the N x N tridiagonal (Jacobi) matrix
+with diagonal b_n and off-diagonal products c_n (Golub & Welsch 1969), and
+the recurrence evaluates P_N and its derivative stably, in double or in
+mpmath at WORKING_DPS digits. The related rational form
+P_N(z) = p_N((z^2+1)/(2z)) and the change of variables z = x + sqrt(x^2-1)
+(principal branch) live here too.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 from dataclasses import dataclass
 
 import mpmath
-import numpy as np
 
 from .errors import DegenerateDenominator, ZeroArgument
 from .qkernel import ComplexScalar, qpochhammer, qpochhammer_multi
@@ -115,23 +126,6 @@ class RacahParams:
     @property
     def gammadelta(self) -> ComplexScalar:
         return self.gamma * self.delta
-
-
-@dataclass
-class MonomialPoly:
-    """Coefficients in the monomial basis; coeffs[k] multiplies x^k.
-
-    ``coeffs_hp``, when present, carries the same coefficients before the
-    rounding to double (mpmath values at the extraction working precision);
-    the zero finder uses them for its final polishing steps.
-    """
-
-    coeffs: np.ndarray
-    coeffs_hp: list | None = None
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def x_to_z(x: ComplexScalar) -> ComplexScalar:
@@ -228,11 +222,10 @@ def racah_eval(p: RacahParams, z: ComplexScalar) -> tuple[ComplexScalar, Complex
     return total_v, total_d
 
 
-#: Working precision (decimal digits) for monomial-coefficient extraction.
-#: The q-series terms cancel by up to ~12 orders at desk scale (small q,
-#: N ~ 10), so the expansion is carried out in high precision and only the
-#: final coefficients are rounded to doubles.
-COEFF_WORKING_DPS = 50
+#: Working precision (decimal digits) of the zero polish and of the identity
+#: residuals. The tier-1 gate measures that doubling it moves no polished zero
+#: by more than 1e-30 up to N = 24.
+WORKING_DPS = 50
 
 
 def _mpc(value: ComplexScalar) -> "mpmath.mpc":
@@ -240,77 +233,124 @@ def _mpc(value: ComplexScalar) -> "mpmath.mpc":
     return mpmath.mpc(value.real, value.imag)
 
 
-def monomial_coefficients(p: AWParams | RacahParams) -> MonomialPoly:
-    """Expand the family polynomial into the monomial basis.
+@dataclass(frozen=True)
+class Recurrence:
+    """Monic three-term recurrence t P_n(t) = P_{n+1}(t) + b[n] P_n(t) + c[n] P_{n-1}(t).
 
-    The degree-m basis product is grown one linear factor at a time and the
-    series terms accumulated in high-precision arithmetic before the single
-    rounding to double precision, so the returned coefficients represent
-    the exact polynomial of the (double) parameters to working accuracy
-    even where the defining sum cancels catastrophically.
+    With P_{-1} = 0 and P_0 = 1 (c[0] is held as 0), P_N for N = len(b) is
+    the family polynomial divided by its leading coefficient: in x for
+    Askey-Wilson, in z for q-Racah. Its zeros are the eigenvalues of the
+    tridiagonal (Jacobi) matrix with diagonal b and off-diagonal products c.
+    ``dps`` is None for Python complex entries, or the mpmath working
+    precision of mpc entries, at which the evaluations below then run.
+    """
+
+    b: tuple
+    c: tuple
+    dps: int | None = None
+
+    @property
+    def degree(self) -> int:
+        return len(self.b)
+
+    def arithmetic(self):
+        """Context in which arithmetic on the entries runs at their precision."""
+        return contextlib.nullcontext() if self.dps is None else mpmath.workdps(self.dps)
+
+    def value(self, t):
+        """P_N(t)."""
+        with self.arithmetic():
+            prev, cur = 0, 1
+            for b, c in zip(self.b, self.c):
+                prev, cur = cur, (t - b) * cur - c * prev
+            return cur
+
+    def value_and_derivative(self, t):
+        """(P_N(t), P_N'(t)); the derivative follows the differentiated recurrence."""
+        with self.arithmetic():
+            prev, cur = 0, 1
+            dprev, dcur = 0, 0
+            for b, c in zip(self.b, self.c):
+                u = t - b
+                dprev, dcur = dcur, cur + u * dcur - c * dprev
+                prev, cur = cur, u * cur - c * prev
+            return cur, dcur
+
+
+def _aw_recurrence(p: AWParams, num) -> tuple[list, list]:
+    """KLS eq. 14.1.5: b_n = (a + 1/a - A_n - C_n)/2, c_n = A_{n-1} C_n / 4."""
+    a, b, c, d, q = (num(v) for v in (p.a, p.b, p.c, p.d, p.q))
+    one = num(1)
+    ab, ac, ad, bc, bd, cd = a * b, a * c, a * d, b * c, b * d, c * d
+    abcd = ab * cd
+    diag, off = [], []
+    a_prev = one  # A_{n-1}; any finite value, as C_0 = 0
+    qn, qn1 = one, one / q  # q^n, q^(n-1)
+    for n in range(p.N):
+        top = (one - ab * qn) * (one - ac * qn) * (one - ad * qn)
+        if n == 0:
+            # the factor 1 - abcd q^(n-1) cancels against the denominator
+            a_n, c_n = top / (a * (one - abcd)), 0 * one
+        else:
+            e = abcd * qn1  # abcd q^(n-1)
+            a_n = top * (one - e) / (a * (one - e * qn) * (one - abcd * qn * qn))
+            c_n = (
+                a * (one - qn) * (one - bc * qn1) * (one - bd * qn1) * (one - cd * qn1)
+                / ((one - e * qn1) * (one - e * qn))
+            )
+        diag.append((a + one / a - a_n - c_n) / 2)
+        off.append(a_prev * c_n / 4)
+        a_prev = a_n
+        qn, qn1 = qn * q, qn
+    return diag, off
+
+
+def _racah_recurrence(p: RacahParams, num) -> tuple[list, list]:
+    """KLS eq. 14.2.4: b_n = 1 + gamma*delta*q - A_n - C_n, c_n = A_{n-1} C_n."""
+    al, be, ga, de, q = (num(v) for v in (p.alpha, p.beta, p.gamma, p.delta, p.q))
+    one = num(1)
+    ab, bd = al * be, be * de
+    shift = one + ga * de * q
+    diag, off = [], []
+    a_prev = one  # A_{n-1}; any finite value, as C_0 = 0
+    qn = one  # q^n
+    for n in range(p.N):
+        qn1 = qn * q
+        a_n = (
+            (one - al * qn1) * (one - ab * qn1) * (one - bd * qn1) * (one - ga * qn1)
+            / ((one - ab * qn * qn1) * (one - ab * qn1 * qn1))
+        )
+        if n == 0:
+            c_n = 0 * one
+        else:
+            c_n = (
+                q * (one - qn) * (one - be * qn) * (ga - ab * qn) * (de - al * qn)
+                / ((one - ab * qn * qn) * (one - ab * qn * qn1))
+            )
+        diag.append(shift - a_n - c_n)
+        off.append(a_prev * c_n)
+        a_prev = a_n
+        qn = qn1
+    return diag, off
+
+
+def recurrence_coefficients(p: AWParams | RacahParams, hp: bool = False) -> Recurrence:
+    """The monic three-term recurrence of the family polynomial, up to degree N.
+
+    Koekoek-Lesky-Swarttouw (2010), eq. 14.1.4 (Askey-Wilson, variable x)
+    and eq. 14.2.3 (q-Racah, variable z = q^-x + gamma*delta*q^(x+1)), in
+    their monic forms 14.1.5 and 14.2.4. Powers of q are carried as running
+    products. With ``hp`` the coefficients are mpmath values at WORKING_DPS.
+    Raises DegenerateDenominator when a coefficient denominator vanishes,
+    i.e. when some lower-degree polynomial of the family drops degree.
     """
     if not isinstance(p, (AWParams, RacahParams)):
         raise TypeError(f"unsupported parameter type {type(p).__name__}")
-    n = p.N
-    with mpmath.workdps(COEFF_WORKING_DPS):
-        q = _mpc(p.q)
-        one = mpmath.mpf(1)
-        if isinstance(p, AWParams):
-            a, b, c, d = (_mpc(v) for v in (p.a, p.b, p.c, p.d))
-            f_top = (q**-n, a * b * c * d * q ** (n - 1))
-            f_bot = (a * b, a * c, a * d)
-            prefactor = a**-n
-            for v in f_bot:
-                w = v
-                for _ in range(n):
-                    prefactor *= one - w
-                    w *= q
-
-            def linear_factors():
-                w = a  # a q^s
-                while True:
-                    yield one + w * w, -2 * w
-                    w *= q
-
-        else:
-            al, be, ga, de = (_mpc(v) for v in (p.alpha, p.beta, p.gamma, p.delta))
-            f_top = (q**-n, al * be * q ** (n + 1))
-            f_bot = (al * q, be * de * q, ga * q)
-            prefactor = mpmath.mpc(1)
-
-            def linear_factors():
-                qs = mpmath.mpc(1)  # q^s
-                w = ga * de * q  # gamma*delta*q^(2s+1)
-                while True:
-                    yield one + w, -qs
-                    qs *= q
-                    w *= q * q
-
-        acc = [mpmath.mpc(0)] * (n + 1)
-        acc[0] = mpmath.mpc(1)  # m = 0 term
-        basis = [mpmath.mpc(0)] * (n + 1)
-        basis[0] = mpmath.mpc(1)
-        coeff = mpmath.mpc(1)
-        qm = mpmath.mpc(1)  # q^m
-        factors = linear_factors()
-        for m in range(1, n + 1):
-            top = q * (one - f_top[0] * qm) * (one - f_top[1] * qm)
-            bot = one - q * qm
-            for v in f_bot:
-                bot *= one - v * qm
-            if bot == 0:
-                raise DegenerateDenominator(f"coefficient denominator vanished at m={m}")
-            coeff *= top / bot
-            qm *= q
-            const, slope = next(factors)
-            new_basis = [const * basis[k] for k in range(n + 1)]
-            for k in range(1, m + 1):
-                new_basis[k] += slope * basis[k - 1]
-            basis = new_basis
-            for k in range(m + 1):
-                acc[k] += coeff * basis[k]
-        coeffs_hp = [prefactor * v for v in acc]
-        coeffs = np.array([complex(v) for v in coeffs_hp])
-    if coeffs[-1] == 0:
-        raise DegenerateDenominator("leading monomial coefficient vanished")
-    return MonomialPoly(coeffs=coeffs, coeffs_hp=coeffs_hp)
+    build = _aw_recurrence if isinstance(p, AWParams) else _racah_recurrence
+    try:
+        if not hp:
+            return Recurrence(*map(tuple, build(p, complex)))
+        with mpmath.workdps(WORKING_DPS):
+            return Recurrence(*map(tuple, build(p, _mpc)), dps=WORKING_DPS)
+    except ZeroDivisionError as exc:
+        raise DegenerateDenominator(f"three-term recurrence denominator vanished: {exc}") from exc

@@ -23,6 +23,7 @@ import cmath
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
+import mpmath
 import numpy as np
 
 from .errors import BranchDegenerate, QZerosError, SingularConfiguration
@@ -32,10 +33,9 @@ from .numlin import (
     compute_zero_set,
     determinant,
     eigenvalues,
-    horner_hp,
     match_spectra,
 )
-from .polyform import ComplexScalar, RacahParams, monomial_coefficients
+from .polyform import WORKING_DPS, ComplexScalar, RacahParams, _mpc
 from .qkernel import qpochhammer
 from .report import (
     VerificationReport,
@@ -264,25 +264,48 @@ def predicted_lambda(p: RacahParams) -> np.ndarray:
 def prop23_residuals(p: RacahParams, zs: ZeroSet, branch: int = +1) -> np.ndarray:
     """Normalized residuals of B(z_n) R_N(z_n^(+)) + D(z_n) R_N(z_n^(-)) = 0.
 
-    R_N is evaluated through its monomial coefficients in extended
-    precision, which stays accurate where the defining q-sum cancels
-    heavily. Like the Askey-Wilson identity, this one can sharpen beyond
-    what a double-rounded zero resolves, so where the zero set carries its
+    R_N is evaluated through the zero set's mpmath three-term recurrence,
+    which stays accurate where the defining q-sum cancels heavily. Like the
+    Askey-Wilson identity, this one can sharpen beyond what a
+    double-rounded zero resolves, so where the zero set carries its
     pre-rounding zeros and they still agree with the stored doubles the
     residual is computed at the high-precision zeros; perturbed or
     hand-built zero sets are measured at face value.
     """
-    poly = monomial_coefficients(p)
+    rec = zs.recurrence_for(p)
     out = np.empty(len(zs.zbar))
-    for i, z in enumerate(zs.zbar):
-        pt = point_structure(p, z, branch)  # enforces the structure guards
-        hp = _zero_hp_matching(zs, i)
-        if hp is not None:
-            out[i] = _prop23_residual_hp(p, poly.coeffs_hp, hp, branch)
-            continue
-        t1 = pt.Bval * horner_hp(poly.coeffs_hp, pt.z_plus)
-        t2 = pt.Dval * horner_hp(poly.coeffs_hp, pt.z_minus)
-        out[i] = abs(t1 + t2) / (abs(t1) + abs(t2) + _FLOOR)
+    with mpmath.workdps(WORKING_DPS):
+        q, al, be, ga, de = (_mpc(v) for v in (p.q, p.alpha, p.beta, p.gamma, p.delta))
+        gd = ga * de
+        gdq = gd * q
+        corr = (1 - q * q) / (2 * q)
+        for i, z in enumerate(zs.zbar):
+            point_structure(p, z, branch)  # enforces the structure guards
+            hp = _zero_hp_matching(zs, i)
+            z_hp = _mpc(z) if hp is None else hp
+            s = branch * mpmath.sqrt(z_hp * z_hp - 4 * gdq)
+            zval = (z_hp + s) / (2 * gdq)
+            z_plus = q * z_hp + corr * (z_hp - s)
+            z_minus = z_hp / q - corr * (z_hp - s)
+            z2 = zval * zval
+            bval = (
+                (1 - al * q * zval)
+                * (1 - be * de * q * zval)
+                * (1 - ga * q * zval)
+                * (1 - gd * q * zval)
+                / ((1 - gdq * z2) * (1 - gd * q * q * z2))
+            )
+            dval = (
+                q
+                * (1 - zval)
+                * (1 - de * zval)
+                * (be - ga * zval)
+                * (al - gd * zval)
+                / ((1 - gd * z2) * (1 - gdq * z2))
+            )
+            t1 = bval * rec.value(z_plus)
+            t2 = dval * rec.value(z_minus)
+            out[i] = float(abs(t1 + t2) / (abs(t1) + abs(t2) + _FLOOR))
     return out
 
 
@@ -295,51 +318,6 @@ def _zero_hp_matching(zs: ZeroSet, i: int):
     if abs(complex(hp) - target) <= 1e-12 * max(1.0, abs(target)):
         return hp
     return None
-
-
-def _prop23_residual_hp(p: RacahParams, coeffs_hp: list, z_hp, branch: int) -> float:
-    import mpmath
-
-    from .polyform import COEFF_WORKING_DPS
-
-    with mpmath.workdps(COEFF_WORKING_DPS):
-        def cc(v):
-            return mpmath.mpc(complex(v).real, complex(v).imag)
-
-        q, al, be, ga, de = (cc(v) for v in (p.q, p.alpha, p.beta, p.gamma, p.delta))
-        gd = ga * de
-        gdq = gd * q
-        s = branch * mpmath.sqrt(z_hp * z_hp - 4 * gdq)
-        zval = (z_hp + s) / (2 * gdq)
-        corr = (1 - q * q) / (2 * q)
-        z_plus = q * z_hp + corr * (z_hp - s)
-        z_minus = z_hp / q - corr * (z_hp - s)
-        z2 = zval * zval
-        bval = (
-            (1 - al * q * zval)
-            * (1 - be * de * q * zval)
-            * (1 - ga * q * zval)
-            * (1 - gd * q * zval)
-            / ((1 - gdq * z2) * (1 - gd * q * q * z2))
-        )
-        dval = (
-            q
-            * (1 - zval)
-            * (1 - de * zval)
-            * (be - ga * zval)
-            * (al - gd * zval)
-            / ((1 - gd * z2) * (1 - gdq * z2))
-        )
-
-        def r_at(w):
-            v = mpmath.mpc(0)
-            for c in reversed(coeffs_hp):
-                v = v * w + c
-            return v
-
-        t1 = bval * r_at(z_plus)
-        t2 = dval * r_at(z_minus)
-        return float(abs(t1 + t2) / (abs(t1) + abs(t2) + _FLOOR))
 
 
 def apply_racah_difference(
@@ -439,7 +417,7 @@ def verify_corollaries(
     for t in t_values:
         try:
             swept = replace(p, alpha=t * p.alpha, beta=p.beta / t)
-            l_swept = build_matrix_L(swept, compute_zero_set(swept))
+            l_swept = build_matrix_L(swept, compute_zero_set(swept, polish=False))
         except (QZerosError, ValueError):
             # this scaling lands outside the admissible parameter set;
             # isospectrality is only claimed within it

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .polyform import AWParams, RacahParams
 
 PACKAGE_VERSION = "0.1.0"
@@ -49,7 +47,6 @@ class VerificationReport:
     checks: list[Check] = field(default_factory=list)
     seed: int = 0
     elapsed_ms: int = 0
-    versions: dict = field(default_factory=lambda: dict(_versions()))
 
     @property
     def passed(self) -> bool:
@@ -73,12 +70,6 @@ class VerificationReport:
             )
 
 
-def _versions() -> dict:
-    import scipy
-
-    return {"qzeros": PACKAGE_VERSION, "numpy": np.__version__, "scipy": scipy.__version__}
-
-
 def resolve_tolerances(overrides: Optional[dict] = None, env: Optional[dict] = None) -> dict:
     """Default tolerances with optional overrides, scaled by QZ_TOL_SCALE.
 
@@ -91,9 +82,14 @@ def resolve_tolerances(overrides: Optional[dict] = None, env: Optional[dict] = N
         if unknown:
             raise ValueError(f"unknown tolerance name(s): {sorted(unknown)}")
         tols.update({k: float(v) for k, v in overrides.items()})
-    env = os.environ if env is None else env
-    scale = float(env.get("QZ_TOL_SCALE", "1") or "1")
+    scale = tolerance_scale(env)
     return {k: v * scale for k, v in tols.items()}
+
+
+def tolerance_scale(env: Optional[dict] = None) -> float:
+    """The QZ_TOL_SCALE multiplier (default 1) from env, or from os.environ."""
+    env = os.environ if env is None else env
+    return float(env.get("QZ_TOL_SCALE", "1") or "1")
 
 
 def rel_residual(delta: complex, target: complex) -> float:

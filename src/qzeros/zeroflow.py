@@ -20,7 +20,6 @@ guard trips mid-flow.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -36,7 +35,7 @@ from .errors import (
 from .numlin import SpectralMatrix, ZeroSet
 from .polyform import AWParams, RacahParams, x_to_z
 from . import awspec, racahspec
-from .report import VerificationReport
+from .report import VerificationReport, tolerance_scale
 
 #: Local error target per step, relative to the state magnitude.
 LOCAL_ERROR_TARGET = 1e-10
@@ -237,7 +236,6 @@ def linearization_check(
     the reported check holds it to LINEARIZATION_TOL, scaled along with the
     named tolerances by QZ_TOL_SCALE.
     """
-    env_scale = float(os.environ.get("QZ_TOL_SCALE", "1") or "1")
     base = zs.xbar if zs.family == "aw" else zs.zbar
     base = np.asarray(base, dtype=complex)
     n = len(base)
@@ -260,7 +258,7 @@ def linearization_check(
     deviation = float(np.max(np.abs(actual - predicted))) / denom
     report = VerificationReport(family=zs.family, params=params)
     anchor = "sec3.1" if zs.family == "aw" else "sec3.2"
-    report.add("flow-linearization", deviation, LINEARIZATION_TOL * env_scale, [anchor])
+    report.add("flow-linearization", deviation, LINEARIZATION_TOL * tolerance_scale(), [anchor])
     return report
 
 

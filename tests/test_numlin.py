@@ -1,77 +1,68 @@
+import mpmath
 import numpy as np
 import pytest
 
+from monomial_oracle import monomial_coefficients
+from qzeros import awspec, polyform, racahspec
 from qzeros.errors import DegenerateConfiguration, LengthMismatch
 from qzeros.numlin import (
-    MonomialPoly,
     compute_zero_set,
     determinant,
     eigenvalues,
     find_polynomial_zeros,
     match_spectra,
 )
-from qzeros.polyform import AWParams, RacahParams
+from qzeros.polyform import AWParams, RacahParams, Recurrence, recurrence_coefficients
 from qzeros.sweeps import SplitMix64, draw_aw_params, draw_racah_params
 
 
-def poly_evaluator(coeffs):
-    def ev(x):
-        v = 0j
-        d = 0j
-        for c in coeffs[::-1]:
-            d = d * x + v
-            v = v * x + c
-        return v, d
+#: The seed-0 draw of every gate cell: both families, q in {0.3, 0.6}, N in {16, 20, 24}.
+GATE_CELLS = [(f, q, n) for f in ("aw", "racah") for q in (0.3, 0.6) for n in (16, 20, 24)]
 
-    return ev
+
+def product_recurrence(roots):
+    """c = 0 decouples the recurrence: P_N(x) = prod (x - root)."""
+    return Recurrence(b=tuple(complex(r) for r in roots), c=(0j,) * len(roots))
+
+
+def zeros_of(rec):
+    zeros, _ = find_polynomial_zeros(rec)
+    return np.array([complex(z) for z in zeros])
 
 
 class TestFindPolynomialZeros:
     def test_quadratic(self):
-        coeffs = np.array([2.0, -3.0, 1.0], dtype=complex)  # (x-1)(x-2)
-        zeros = find_polynomial_zeros(MonomialPoly(coeffs), poly_evaluator(coeffs))
-        assert zeros == pytest.approx([1.0, 2.0])
+        # P_2 = (x - 3/2)^2 - 1/4 = (x-1)(x-2)
+        rec = Recurrence(b=(1.5 + 0j, 1.5 + 0j), c=(0j, 0.25 + 0j))
+        assert zeros_of(rec) == pytest.approx([1.0, 2.0])
 
     def test_aw_linear_anchor(self):
-        from qzeros.polyform import aw_eval, monomial_coefficients
-
         p = AWParams(a=2, b=3, c=4, d=5, q=0.5, N=1)
-        zeros = find_polynomial_zeros(monomial_coefficients(p), lambda x: aw_eval(p, x))
-        assert zeros == pytest.approx([10 / 17])
+        assert zeros_of(recurrence_coefficients(p)) == pytest.approx([10 / 17])
 
     def test_racah_linear_anchor(self):
-        from qzeros.polyform import monomial_coefficients, racah_eval
-
         p = RacahParams(alpha=3, beta=2, gamma=4, delta=5, q=0.5, N=1)
-        zeros = find_polynomial_zeros(monomial_coefficients(p), lambda z: racah_eval(p, z))
-        assert zeros == pytest.approx([7.0])
+        assert zeros_of(recurrence_coefficients(p)) == pytest.approx([7.0])
 
     def test_near_degenerate_rejected(self):
-        # (x-1)(x-1-1e-12)(x-5): first two zeros are closer than 1e-8 * spread
-        r = 1 + 1e-12
-        coeffs = np.array([5 * r, -(5 + 5 * r + r), 6 + r, -1.0], dtype=complex)[::-1]
-        coeffs = np.polynomial.polynomial.polyfromroots([1.0, r, 5.0]).astype(complex)
+        # zeros 1, 1+1e-12, 5: the first two are closer than 1e-8 * spread
         with pytest.raises(DegenerateConfiguration):
-            find_polynomial_zeros(MonomialPoly(coeffs), poly_evaluator(coeffs))
+            find_polynomial_zeros(product_recurrence([1.0, 1 + 1e-12, 5.0]))
 
     def test_ordering_is_deterministic(self):
-        coeffs = np.polynomial.polynomial.polyfromroots(
-            [2.0 + 1.0j, -1.0, 2.0 - 1.0j, 0.5]
-        ).astype(complex)
-        first = find_polynomial_zeros(MonomialPoly(coeffs), poly_evaluator(coeffs))
-        second = find_polynomial_zeros(MonomialPoly(coeffs), poly_evaluator(coeffs))
+        rec = product_recurrence([2.0 + 1.0j, -1.0, 2.0 - 1.0j, 0.5])
+        first = zeros_of(rec)
+        second = zeros_of(rec)
         assert np.array_equal(first, second)
         assert list(first) == sorted(first, key=lambda z: (z.real, z.imag))
 
     def test_companion_and_polished_agree(self):
-        # two independent routes to the same multiset
+        # two independent routes to the same multiset: the Jacobi matrix of the
+        # recurrence, and companion-matrix roots of the monomial expansion
         for seed in (1, 2, 3):
             p = draw_aw_params(SplitMix64(seed), 0.5, 8)
-            from qzeros.polyform import aw_eval, monomial_coefficients
-
-            poly = monomial_coefficients(p)
-            polished = find_polynomial_zeros(poly, lambda x: aw_eval(p, x))
-            seeds = np.roots(poly.coeffs[::-1])
+            polished = zeros_of(recurrence_coefficients(p, hp=True))
+            seeds = np.roots(monomial_coefficients(p).coeffs[::-1])
             match = match_spectra(np.sort_complex(seeds), np.sort_complex(polished))
             assert match.max_rel_gap <= 1e-7
 
@@ -89,8 +80,9 @@ class TestEigenvalues:
         assert eigenvalues(np.array([[-119.0 + 0j]])) == pytest.approx([-119.0])
 
     def test_companion_matches_zero_finder(self):
-        coeffs = np.polynomial.polynomial.polyfromroots([1.5, -0.5 + 1j, 2.0]).astype(complex)
-        zeros = find_polynomial_zeros(MonomialPoly(coeffs), poly_evaluator(coeffs))
+        p = RacahParams(alpha=1.2, beta=0.4, gamma=0.9, delta=1.1 - 0.2j, q=0.6, N=3)
+        zeros = zeros_of(recurrence_coefficients(p))
+        coeffs = monomial_coefficients(p).coeffs
         monic = coeffs / coeffs[-1]
         comp = np.zeros((3, 3), dtype=complex)
         comp[1:, :-1] = np.eye(2)
@@ -165,3 +157,24 @@ class TestComputeZeroSet:
             zs = compute_zero_set(draw_racah_params(stream, 0.4, n))
             assert np.all(zs.residuals <= 1e-10)
             assert zs.min_separation > 0
+
+
+class TestRecurrenceZeroGate:
+    """Correct zeros up to N = 24 at the fixed working precision, by measurement."""
+
+    @pytest.mark.parametrize("family,q,n", GATE_CELLS)
+    def test_identity_residual_and_doubled_precision(self, family, q, n, monkeypatch):
+        draw = draw_aw_params if family == "aw" else draw_racah_params
+        p = draw(SplitMix64(0), q, n)
+        zs = compute_zero_set(p)
+        residuals = (awspec.prop21_residuals if family == "aw" else racahspec.prop23_residuals)(
+            p, zs
+        )
+        assert residuals.max() <= 1e-8
+
+        monkeypatch.setattr(polyform, "WORKING_DPS", 2 * polyform.WORKING_DPS)
+        doubled = compute_zero_set(p)
+        assert doubled.recurrence_hp.dps == 2 * zs.recurrence_hp.dps
+        with mpmath.workdps(doubled.recurrence_hp.dps):
+            gaps = [abs(a - b) / max(1, abs(b)) for a, b in zip(zs.zeros_hp, doubled.zeros_hp)]
+        assert max(gaps) <= 1e-30

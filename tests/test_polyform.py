@@ -1,18 +1,20 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from monomial_oracle import monomial_coefficients
 from qzeros.errors import DegenerateDenominator, ZeroArgument
 from qzeros.polyform import (
     AWParams,
     RacahParams,
     aw_eval,
     aw_rational_eval,
-    monomial_coefficients,
     racah_eval,
+    recurrence_coefficients,
     x_to_z,
     z_to_x,
 )
@@ -231,3 +233,54 @@ class TestMonomialCoefficients:
             direct = evaluate(params, x)[0]
             via_coeffs = sum(c * x**k for k, c in enumerate(poly.coeffs))
             assert abs(direct - via_coeffs) <= 1e-9 * (1 + abs(direct))
+
+
+class TestRecurrence:
+    def test_aw_anchor(self):
+        rec = recurrence_coefficients(AW_ANCHOR)
+        assert rec.b == pytest.approx([10 / 17])
+        assert rec.value(10 / 17) == pytest.approx(0.0, abs=1e-15)
+
+    def test_racah_anchor(self):
+        rec = recurrence_coefficients(RACAH_ANCHOR)
+        assert rec.b == pytest.approx([7.0])
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            AWParams(a=1.2, b=0.7 + 0.3j, c=-0.4, d=0.9, q=0.6, N=5),
+            AWParams(a=1.2, b=0.7 + 0.3j, c=-0.4, d=0.9, q=0.5 + 0.2j, N=12),
+            RacahParams(alpha=1.2, beta=0.4, gamma=0.9, delta=1.1 - 0.2j, q=0.6, N=5),
+            RacahParams(alpha=1.2, beta=0.4, gamma=0.9, delta=1.1 - 0.2j, q=0.3, N=12),
+        ],
+        ids=["aw-5", "aw-12", "racah-5", "racah-12"],
+    )
+    def test_matches_monomial_oracle(self, params):
+        # P_N is the oracle polynomial over its leading coefficient, in double
+        # and in mpmath; the oracle runs at 120 digits to survive its cancellation
+        poly = monomial_coefficients(params, dps=120)
+        stream = SplitMix64(5)
+        for hp, tol in ((False, 1e-9), (True, 1e-30)):
+            rec = recurrence_coefficients(params, hp=hp)
+            assert rec.degree == params.N
+            for _ in range(params.N + 2):
+                x = complex(3 * stream.next_float() - 1.5, stream.next_float() - 0.5)
+                with mpmath.workdps(120):
+                    oracle = mpmath.polyval(poly.coeffs_hp[::-1], x) / poly.coeffs_hp[-1]
+                    got = rec.value(x)
+                    assert abs(got - oracle) <= tol * (1 + abs(oracle))
+
+    def test_derivative_matches_central_differences(self):
+        rec = recurrence_coefficients(AWParams(a=1.2, b=0.7, c=-0.4, d=0.9, q=0.6, N=6))
+        for x in (0.3 + 0.1j, -0.8, 1.4 - 0.5j):
+            h = 1e-6
+            fd = (rec.value(x + h) - rec.value(x - h)) / (2 * h)
+            value, derivative = rec.value_and_derivative(x)
+            assert value == rec.value(x)
+            assert abs(derivative - fd) <= 1e-6 * (1 + abs(derivative))
+
+    def test_lower_degree_drop_rejected(self):
+        # abcd = 1 makes the degree-1 polynomial constant, so the recurrence breaks
+        p = AWParams(a=2, b=1, c=0.25, d=2, q=0.3, N=3)
+        with pytest.raises(DegenerateDenominator):
+            recurrence_coefficients(p)

@@ -12,7 +12,9 @@ from qzeros.report import (
     render_report_csv,
     render_report_json,
     resolve_tolerances,
+    tolerance_scale,
 )
+from qzeros.sweeps import SplitMix64, draw_racah_params
 
 AW_ARGS = ["--family", "aw", "-a", "2", "-b", "3", "-c", "4", "-d", "5", "-q", "0.5", "-N", "1"]
 RACAH_ARGS = [
@@ -67,6 +69,12 @@ class TestTolerances:
     def test_env_scale(self):
         tols = resolve_tolerances(env={"QZ_TOL_SCALE": "10"})
         assert tols["fd_jacobian"] == pytest.approx(10 * DEFAULT_TOLERANCES["fd_jacobian"])
+
+
+    def test_scale_parsing(self):
+        assert tolerance_scale({}) == 1.0
+        assert tolerance_scale({"QZ_TOL_SCALE": ""}) == 1.0
+        assert tolerance_scale({"QZ_TOL_SCALE": "1e-3"}) == 1e-3
 
 
 class TestReportRendering:
@@ -201,6 +209,18 @@ class TestCliCommands:
         assert code == 0
         assert payload["pass"] is True
         assert len(payload["checks"]) == 8  # four checks per drawn set
+
+    def test_racah_spectrum_seed0_q03_n16(self, capsys):
+        # the monomial/companion route returned wrong zeros here (max_rel_gap 0.9999)
+        p = draw_racah_params(SplitMix64(0), 0.3, 16)
+        params = []
+        for flag, value in (("--alpha", p.alpha), ("--beta", p.beta), ("--gamma", p.gamma),
+                            ("--delta", p.delta)):
+            params += [flag, repr(complex(value))]
+        code = main(["spectrum", "--family", "racah", *params, "-q", "0.3", "-N", "16"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["max_rel_gap"] <= 1e-6
 
     def test_byte_determinism(self, tmp_path):
         out1 = tmp_path / "a.json"
