@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import mpmath
 import numpy as np
 
-from .errors import QZerosError, SingularConfiguration
+from .errors import GUARD_EPS, QZerosError, guard as _guard
 from .numlin import (
     SpectralMatrix,
     ZeroSet,
@@ -45,40 +45,29 @@ from .report import (
     resolve_tolerances,
 )
 
-#: Structure-function denominators below this magnitude are rejected.
-GUARD_EPS = 1e-10
-
 _FLOOR = float(np.finfo(float).tiny)
 
 #: Parameter scalings (t*a, b/t, c, d) used by the isospectrality sweep.
 ISOSPECTRAL_T_VALUES = (0.5, 2.0, 1.0 + 0.3j)
 
 
-def _guard(magnitude: float, name: str) -> None:
-    if not magnitude > GUARD_EPS:
-        raise SingularConfiguration(name, magnitude)
-
-
 def eval_A(p: AWParams, z: ComplexScalar) -> ComplexScalar:
-    """A(z) with guards on 1 - z^2 and 1 - q z^2; A(0) = 1."""
+    """A(z) with guards on 1 - z^2 and 1 - q z^2; A(0) = 1. Elementwise."""
     z2 = z * z
-    _guard(abs(1.0 - z2), "z^2-1")
-    _guard(abs(1.0 - p.q * z2), "q*z^2-1")
+    _guard((abs(1.0 - z2), "z^2-1"), (abs(1.0 - p.q * z2), "q*z^2-1"))
     num = (1.0 - p.a * z) * (1.0 - p.b * z) * (1.0 - p.c * z) * (1.0 - p.d * z)
     return num / ((1.0 - z2) * (1.0 - p.q * z2))
 
 
 def eval_G_pair(p: AWParams, z: ComplexScalar) -> tuple[ComplexScalar, ComplexScalar]:
-    """(G(z), G'(z)) with G = A(z)(qz - 1/z), differentiated exactly.
+    """(G(z), G'(z)) with G = A(z)(qz - 1/z), differentiated exactly; elementwise.
 
     The numerator (qz - 1/z) prod (1 - p z) and denominator
     (1-z^2)(1-q z^2) are carried as (value, derivative) pairs so the
     quotient rule never divides by a numerator factor that may vanish.
     """
-    _guard(abs(z), "z")
     z2 = z * z
-    _guard(abs(1.0 - z2), "z^2-1")
-    _guard(abs(1.0 - p.q * z2), "q*z^2-1")
+    _guard((abs(z), "z"), (abs(1.0 - z2), "z^2-1"), (abs(1.0 - p.q * z2), "q*z^2-1"))
     uv, ud = p.q * z - 1.0 / z, p.q + 1.0 / z2
     for c in (p.a, p.b, p.c, p.d):
         f, fp = 1.0 - c * z, -c
@@ -89,21 +78,45 @@ def eval_G_pair(p: AWParams, z: ComplexScalar) -> tuple[ComplexScalar, ComplexSc
 
 
 def eval_K(q: ComplexScalar, zn: ComplexScalar, zm: ComplexScalar) -> ComplexScalar:
-    """Pair kernel K(z_n, z_m); collapses to 1 at q = 1."""
+    """Pair kernel K(z_n, z_m); collapses to 1 at q = 1. Elementwise."""
     d1 = zm - zn
     d2 = zn * zm - 1.0
-    _guard(abs(d1), "z_n-z_m")
-    _guard(abs(d2), "z_n*z_m-1")
+    _guard((abs(d1), "z_n-z_m"), (abs(d2), "z_n*z_m-1"))
     return (zm - q * zn) * (q * zn * zm - 1.0) / (d1 * d2)
+
+
+def _reciprocal(z: np.ndarray) -> np.ndarray:
+    """1/z without a numpy warning; callers guard z itself first."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 1.0 / z
+
+
+def _off_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs n != m, in row-major order."""
+    return np.nonzero(~np.eye(n, dtype=bool))
+
+
+def _kernel_matrix(q: ComplexScalar, w: np.ndarray) -> np.ndarray:
+    """K[n, m, ...] = K(w[n, ...], w[m, ...]) for n != m, ones on the diagonal.
+
+    The pair kernel of both the flow velocity and M, whose row products are
+    prod_{l!=n} K(w_n, w_l). Trailing axes of w (z_n and 1/z_n stacked) are
+    kept. The guards name the first failing pair in row-major order.
+    """
+    n = len(w)
+    rows, cols = _off_diagonal(n)
+    k = np.ones((n, n) + w.shape[1:], dtype=complex)
+    k[rows, cols] = eval_K(q, w[rows], w[cols])
+    return k
 
 
 @dataclass
 class AWStructureEval:
-    """Structure functions cached at the zeros and their reciprocals.
+    """Structure functions at the zeros and their reciprocals, as arrays.
 
     The *_plus arrays hold values at z_n, the *_minus arrays at 1/z_n;
-    K_plus[n, l] = K(z_n, z_l) and K_minus[n, l] = K(1/z_n, 1/z_l) (the
-    diagonal is unused).
+    K_plus[n, l] = K(z_n, z_l) and K_minus[n, l] = K(1/z_n, 1/z_l), both
+    from _kernel_matrix (the diagonal is unused and holds ones).
     """
 
     A_plus: np.ndarray
@@ -117,40 +130,25 @@ class AWStructureEval:
 
 
 def eval_structure(p: AWParams, zs: ZeroSet) -> AWStructureEval:
-    """Evaluate A, G, G' and K at every zero and every reciprocal zero."""
+    """Evaluate A, G, G' and K at every zero and every reciprocal zero.
+
+    The point guards run before the pair guards, each over the whole array
+    and naming the first failing point or pair in row-major order.
+    """
     z = np.asarray(zs.zbar, dtype=complex)
-    n = len(z)
-    for i in range(n):
-        _guard(abs(z[i]), "z")
-        _guard(abs(z[i] * z[i] - 1.0), "z^2-1")
-        _guard(abs(p.q * z[i] * z[i] - 1.0), "q*z^2-1")
-        _guard(abs(z[i] * z[i] - p.q), "z^2-q")
-    for i in range(n):
-        for j in range(i + 1, n):
-            _guard(abs(z[i] - z[j]), "z_n-z_m")
-            _guard(abs(z[i] * z[j] - 1.0), "z_n*z_m-1")
-    A_plus = np.array([eval_A(p, zi) for zi in z])
-    A_minus = np.array([eval_A(p, 1.0 / zi) for zi in z])
-    g_plus = [eval_G_pair(p, zi) for zi in z]
-    g_minus = [eval_G_pair(p, 1.0 / zi) for zi in z]
-    K_plus = np.ones((n, n), dtype=complex)
-    K_minus = np.ones((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            K_plus[i, j] = eval_K(p.q, z[i], z[j])
-            K_minus[i, j] = eval_K(p.q, 1.0 / z[i], 1.0 / z[j])
-    return AWStructureEval(
-        A_plus=A_plus,
-        A_minus=A_minus,
-        G_plus=np.array([g[0] for g in g_plus]),
-        G_minus=np.array([g[0] for g in g_minus]),
-        Gp_plus=np.array([g[1] for g in g_plus]),
-        Gp_minus=np.array([g[1] for g in g_minus]),
-        K_plus=K_plus,
-        K_minus=K_minus,
+    _guard(
+        (abs(z), "z"),
+        (abs(z * z - 1.0), "z^2-1"),
+        (abs(p.q * z * z - 1.0), "q*z^2-1"),
+        (abs(z * z - p.q), "z^2-q"),
     )
+    rows, cols = _off_diagonal(len(z))
+    _guard((abs(z[rows] - z[cols]), "z_n-z_m"), (abs(z[rows] * z[cols] - 1.0), "z_n*z_m-1"))
+    zw = np.stack([z, _reciprocal(z)], axis=1)
+    G, Gp = eval_G_pair(p, zw)
+    K = _kernel_matrix(p.q, zw)
+    # each array's last axis unpacks into its (at z_n, at 1/z_n) fields
+    return AWStructureEval(*eval_A(p, zw).T, *G.T, *Gp.T, *K.transpose(2, 0, 1))
 
 
 def _matrix_half(
@@ -158,35 +156,24 @@ def _matrix_half(
 ) -> np.ndarray:
     """One symmetrization half of M, on coordinates w (either z or 1/z)."""
     n = len(w)
-    half = np.zeros((n, n), dtype=complex)
-    prod_k = np.empty(n, dtype=complex)
-    for i in range(n):
-        prod = 1.0 + 0.0j
-        for l in range(n):
-            if l != i:
-                prod *= K[i, l]
-        prod_k[i] = prod
-    for i in range(n):
-        wi = w[i]
-        pref_i = 2.0 * wi * wi / (wi * wi - 1.0)
-        diag_sum = 0.0 + 0.0j
-        for m in range(n):
-            if m == i:
-                continue
-            wm = w[m]
-            d1 = wm - q * wi
-            d2 = q * wi * wm - 1.0
-            d3 = wm - wi
-            d4 = wi * wm - 1.0
-            _guard(abs(d1), "z_m-q*z_n")
-            _guard(abs(d2), "q*z_n*z_m-1")
-            _guard(abs(d3), "z_n-z_m")
-            _guard(abs(d4), "z_n*z_m-1")
-            diag_sum += -q / d1 + q * wm / d2 + 1.0 / d3 - wm / d4
-            pref_m = 2.0 * wm * wm / (wm * wm - 1.0)
-            bracket = 1.0 / d1 + q * wi / d2 - 1.0 / d3 - wi / d4
-            half[i, m] = pref_m * G[i] * bracket * prod_k[i]
-        half[i, i] = (pref_i * G[i] * diag_sum + pref_i * Gp[i]) * prod_k[i]
+    rows, cols = _off_diagonal(n)
+    wi, wm = w[rows], w[cols]
+    d1 = wm - q * wi
+    d2 = q * wi * wm - 1.0
+    d3 = wm - wi
+    d4 = wi * wm - 1.0
+    _guard(
+        (abs(d1), "z_m-q*z_n"),
+        (abs(d2), "q*z_n*z_m-1"),
+        (abs(d3), "z_n-z_m"),
+        (abs(d4), "z_n*z_m-1"),
+    )
+    prod_k = np.prod(K, axis=1)
+    pref = 2.0 * w * w / (w * w - 1.0)
+    diag_sum = (-q / d1 + q * wm / d2 + 1.0 / d3 - wm / d4).reshape(n, n - 1).sum(axis=1)
+    bracket = 1.0 / d1 + q * wi / d2 - 1.0 / d3 - wi / d4
+    half = np.diag((pref * G * diag_sum + pref * Gp) * prod_k)
+    half[rows, cols] = pref[cols] * G[rows] * bracket * prod_k[rows]
     return half
 
 
@@ -194,7 +181,7 @@ def build_matrix_M(p: AWParams, zs: ZeroSet) -> SpectralMatrix:
     """Assemble M from the zeros; its predicted spectrum is mu_1..mu_N."""
     se = eval_structure(p, zs)
     z = np.asarray(zs.zbar, dtype=complex)
-    w_flip = 1.0 / z
+    w_flip = _reciprocal(z)
     half_plus = _matrix_half(p.q, z, se.G_plus, se.Gp_plus, se.K_plus)
     half_minus = _matrix_half(p.q, w_flip, se.G_minus, se.Gp_minus, se.K_minus)
     scale = (p.q - 1.0) / (2.0 * p.q**p.N)
@@ -232,6 +219,7 @@ def prop21_residuals(p: AWParams, zs: ZeroSet) -> np.ndarray:
     residuals.
     """
     rec = zs.recurrence_for(p)
+    eval_A(p, np.asarray(zs.zbar, dtype=complex))  # enforce the guards on the stored zeros
     out = np.empty(len(zs.zbar))
     with mpmath.workdps(WORKING_DPS):
         q = _mpc(p.q)
@@ -247,7 +235,6 @@ def prop21_residuals(p: AWParams, zs: ZeroSet) -> np.ndarray:
             return rec.value((w * w + 1) / (2 * w))
 
         for i, z in enumerate(zs.zbar):
-            eval_A(p, z)  # enforce the guards on the stored zero
             hp = _zero_hp_matching(zs, i)
             z_hp = _mpc(z) if hp is None else hp
             t1 = a_of(z_hp) * p_at(q * z_hp)
@@ -284,7 +271,7 @@ def apply_Q_operator(
     The rational form P_N is an eigenfunction with eigenvalue
     (q^(-N) - 1)(1 - abcd q^(N-1)).
     """
-    _guard(abs(z), "z")
+    _guard((abs(z), "z"))
     a_plus = eval_A(p, z)
     a_minus = eval_A(p, 1.0 / z)
     return a_plus * f(p.q * z) + a_minus * f(z / p.q) - (a_plus + a_minus) * f(z)

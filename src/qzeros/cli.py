@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -128,6 +129,9 @@ def build_parser() -> _Parser:
     )
     sweep.add_argument("--count", type=int, default=SWEEP_DEFAULT_COUNT)
     return parser
+
+
+_parser = functools.cache(build_parser)  # parsing leaves a parser unchanged: build it once
 
 
 def _config_from_args(parser: _Parser, args: argparse.Namespace) -> RunConfig:
@@ -495,7 +499,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     config = _config_from_args(parser, args)
     started = time.monotonic()

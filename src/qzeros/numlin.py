@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateConfiguration, LengthMismatch, NoConvergence
 from .polyform import (
@@ -206,6 +205,8 @@ def match_spectra(
 
     Relative gaps are normalized by max(1, |predicted|) per matched pair.
     """
+    from scipy.optimize import linear_sum_assignment  # imported here: qz flow never needs it
+
     comp = np.asarray(computed, dtype=complex)
     pred = np.asarray(predicted, dtype=complex)
     if comp.shape != pred.shape or comp.ndim != 1:
@@ -240,7 +241,7 @@ def compute_zero_set(params: Union[AWParams, RacahParams], polish: bool = True) 
     if isinstance(params, AWParams):
         family = "aw"
         xbar = zeros
-        zbar = np.array([x_to_z(x) for x in zeros])
+        zbar = x_to_z(zeros)
     else:
         family = "racah"
         xbar = None

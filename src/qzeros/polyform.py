@@ -31,11 +31,11 @@ P_N(z) = p_N((z^2+1)/(2z)) and the change of variables z = x + sqrt(x^2-1)
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 
 from .errors import DegenerateDenominator, ZeroArgument
 from .qkernel import ComplexScalar, qpochhammer, qpochhammer_multi
@@ -129,8 +129,8 @@ class RacahParams:
 
 
 def x_to_z(x: ComplexScalar) -> ComplexScalar:
-    """z = x + sqrt(x^2 - 1), principal square root."""
-    return x + cmath.sqrt(x * x - 1.0)
+    """z = x + sqrt(x^2 - 1), principal square root; elementwise on arrays."""
+    return x + np.sqrt(np.asarray(x * x - 1.0, dtype=complex))
 
 
 def z_to_x(z: ComplexScalar) -> ComplexScalar:

@@ -19,14 +19,14 @@ the closed-form spectrum
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import mpmath
 import numpy as np
 
-from .errors import BranchDegenerate, QZerosError, SingularConfiguration
+from .errors import GUARD_EPS, BranchDegenerate, QZerosError, first_failure, guard as _guard
 from .numlin import (
     SpectralMatrix,
     ZeroSet,
@@ -45,17 +45,10 @@ from .report import (
     resolve_tolerances,
 )
 
-GUARD_EPS = 1e-10
-
 _FLOOR = float(np.finfo(float).tiny)
 
 #: Parameter scalings (t*alpha, beta/t) used by the isospectrality sweep.
 ISOSPECTRAL_T_VALUES = (0.5, 2.0, 1.0 + 0.3j)
-
-
-def _guard(magnitude: float, name: str) -> None:
-    if not magnitude > GUARD_EPS:
-        raise SingularConfiguration(name, magnitude)
 
 
 def shift_targets(
@@ -66,186 +59,178 @@ def shift_targets(
     Well defined even at gamma*delta = 0; at a vanishing discriminant both
     images collapse to (1+q^2)/(2q) z.
     """
-    s = branch * cmath.sqrt(z * z - 4.0 * gammadelta * q)
+    s = branch * np.sqrt(np.asarray(z * z - 4.0 * gammadelta * q, dtype=complex))
     corr = (1.0 - q * q) / (2.0 * q) * (z - s)
     return q * z + corr, z / q - corr
 
 
 @dataclass
 class _PointStructure:
-    """B, D and friends at one point, one branch."""
+    """B, D and friends at the points z (scalars, or arrays like z), one branch."""
 
     z_plus: ComplexScalar
     z_minus: ComplexScalar
     Zval: ComplexScalar
     Bval: ComplexScalar
     Dval: ComplexScalar
-    Bp: ComplexScalar
-    Dp: ComplexScalar
-    Cplus: ComplexScalar
-    Cminus: ComplexScalar
+    Bp: Optional[ComplexScalar]
+    Dp: Optional[ComplexScalar]
+    Cplus: Optional[ComplexScalar]
+    Cminus: Optional[ComplexScalar]
 
 
-def point_structure(p: RacahParams, z: ComplexScalar, branch: int) -> _PointStructure:
+def _product_slope(factors: list, slopes: Sequence[ComplexScalar]):
+    """d/dZ of the product of the linear factors, each with its dZ-slope (product rule)."""
+    value, slope = factors[0], slopes[0]
+    for f, c1 in zip(factors[1:], slopes[1:]):
+        value, slope = value * f, slope * f + value * c1
+    return slope
+
+
+def point_structure(
+    p: RacahParams, z: ComplexScalar, branch: int, derivatives: bool = True
+) -> _PointStructure:
+    """The point structure at z, elementwise on arrays.
+
+    A failing guard names the first failing point, and of its guards the
+    first in the order discriminant, 1-gamma*delta*q*Z^2,
+    1-gamma*delta*q^2*Z^2, 1-gamma*delta*Z^2. Without ``derivatives``
+    (the flow needs none) Bp, Dp, Cplus and Cminus are None.
+    """
     q = p.q
     gd = p.gammadelta
     gdq = gd * q
-    _guard(abs(gdq), "gamma*delta*q")
-    disc = z * z - 4.0 * gdq
-    if abs(disc) < GUARD_EPS:
-        raise BranchDegenerate(
-            f"z^2 - 4*gamma*delta*q = {disc:.3e}: shifted images collide at z = {z}"
-        )
-    s = branch * cmath.sqrt(disc)
+    _guard((abs(gdq), "gamma*delta*q"))
+    disc = np.asarray(z * z - 4.0 * gdq, dtype=complex)
+    s = branch * np.sqrt(disc)
     zval = (z + s) / (2.0 * gdq)
-    dzdz = (1.0 + z / s) / (2.0 * gdq)  # dZ/dz, using dS/dz = z/S
-    corr = (1.0 - q * q) / (2.0 * q)
-    z_plus = q * z + corr * (z - s)
-    z_minus = z / q - corr * (z - s)
-    c_plus = q + corr * (1.0 - z / s)
-    c_minus = 1.0 / q - corr * (1.0 - z / s)
-
-    # B as a rational function of Z, with d/dZ carried by the product rule.
-    al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
-    nv, nd = 1.0 + 0.0j, 0.0 + 0.0j
-    for c in (al * q, be * de * q, ga * q, gd * q):
-        f, fp = 1.0 - c * zval, -c
-        nv, nd = nv * f, nd * f + nv * fp
     z2 = zval * zval
+    den0 = 1.0 - gd * z2
     den1 = 1.0 - gdq * z2
     den2 = 1.0 - gd * q * q * z2
-    _guard(abs(den1), "1-gamma*delta*q*Z^2")
-    _guard(abs(den2), "1-gamma*delta*q^2*Z^2")
-    dv = den1 * den2
-    dd = -2.0 * gdq * zval * den2 - 2.0 * gd * q * q * zval * den1
-    bval = nv / dv
-    bp = ((nd * dv - nv * dd) / (dv * dv)) * dzdz
-
-    nv, nd = q + 0.0j, 0.0 + 0.0j
-    for c0, c1 in ((1.0, -1.0), (1.0, -de), (be, -ga), (al, -gd)):
-        f, fp = c0 + c1 * zval, c1
-        nv, nd = nv * f, nd * f + nv * fp
-    den0 = 1.0 - gd * z2
-    _guard(abs(den0), "1-gamma*delta*Z^2")
-    dv = den0 * den1
-    dd = -2.0 * gd * zval * den1 - 2.0 * gdq * zval * den0
-    dval = nv / dv
-    dp = ((nd * dv - nv * dd) / (dv * dv)) * dzdz
-
-    return _PointStructure(
-        z_plus=z_plus,
-        z_minus=z_minus,
-        Zval=zval,
-        Bval=bval,
-        Dval=dval,
-        Bp=bp,
-        Dp=dp,
-        Cplus=c_plus,
-        Cminus=c_minus,
+    checks = (
+        (abs(den1), "1-gamma*delta*q*Z^2"),
+        (abs(den2), "1-gamma*delta*q^2*Z^2"),
+        (abs(den0), "1-gamma*delta*Z^2"),
     )
+    degenerate = abs(disc) < GUARD_EPS
+    if degenerate.any():
+        k, j = first_failure(degenerate, *(~(m > GUARD_EPS) for m, _ in checks))
+        if j == 0:  # otherwise point k fails a guard below first
+            raise BranchDegenerate(
+                f"z^2 - 4*gamma*delta*q = {complex(disc.flat[k]):.3e}: shifted images "
+                f"collide at z = {complex(np.asarray(z).flat[k])}"
+            )
+    _guard(*checks)
+    corr = (1.0 - q * q) / (2.0 * q)
+    shift = corr * (z - s)
+    z_plus = q * z + shift
+    z_minus = z / q - shift
+
+    # B and D as rational functions of Z; the numerators of B and D/q are
+    # products of linear factors c0 + c1 Z, never divided by one of them.
+    al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
+    b_slopes = (-al * q, -be * de * q, -ga * q, -gd * q)
+    d_slopes = (-1.0, -de, -ga, -gd)
+    b_factors = [1.0 + c1 * zval for c1 in b_slopes]
+    d_factors = [c0 + c1 * zval for c0, c1 in zip((1.0, 1.0, be, al), d_slopes)]
+    b_den = den1 * den2
+    d_den = den0 * den1
+    bval = math.prod(b_factors) / b_den
+    dval = q * math.prod(d_factors) / d_den
+    if not derivatives:
+        return _PointStructure(z_plus, z_minus, zval, bval, dval, None, None, None, None)
+
+    ratio = z / s  # dS/dz
+    dzdz = (1.0 + ratio) / (2.0 * gdq)  # dZ/dz
+    slope = corr * (1.0 - ratio)
+    b_dd = -2.0 * gdq * zval * den2 - 2.0 * gd * q * q * zval * den1
+    d_dd = -2.0 * gd * zval * den1 - 2.0 * gdq * zval * den0
+    bp = (_product_slope(b_factors, b_slopes) - bval * b_dd) / b_den * dzdz
+    dp = (q * _product_slope(d_factors, d_slopes) - dval * d_dd) / d_den * dzdz
+    return _PointStructure(z_plus, z_minus, zval, bval, dval, bp, dp, q + slope, 1.0 / q - slope)
+
+
+def _pair_differences(z: np.ndarray, z_plus: np.ndarray, z_minus: np.ndarray):
+    """Pair arrays (d, d_plus, d_minus) at the points z, with ones on their diagonals.
+
+    d[n, m] = z_n - z_m and d_plus/minus[n, m] = z_n^(+/-) - z_m. The row
+    products of d_plus/d and d_minus/d are the leave-one-out ratio products
+    prod_{l!=n} (z_n^(+/-) - z_l)/(z_n - z_l) of both the flow velocity and
+    L; the callers guard the differences they divide by.
+    """
+    d = z[:, None] - z[None, :]
+    d_plus = z_plus[:, None] - z[None, :]
+    d_minus = z_minus[:, None] - z[None, :]
+    for pair in (d, d_plus, d_minus):
+        np.fill_diagonal(pair, 1.0)
+    return d, d_plus, d_minus
 
 
 @dataclass
-class RacahStructureEval:
-    """Structure functions cached at the zeros (arrays indexed by zero).
+class RacahStructureEval(_PointStructure):
+    """Structure functions at the zeros, as arrays indexed by zero.
 
+    The point fields are point_structure on the whole array of zeros.
     Wplus[n, m] and Wminus[n, m] hold the pair couplings
     W^(+/-)(z_n, z_m) = [C^(+/-)(z_n)(z_n - z_m) - z_n^(+/-) + z_m]
                         / [(z_n - z_m)(z_n^(+/-) - z_m)]
-    with unused diagonals.
+    with zero diagonals.
     """
 
-    z_plus: np.ndarray
-    z_minus: np.ndarray
-    Zval: np.ndarray
-    Bval: np.ndarray
-    Dval: np.ndarray
-    Bp: np.ndarray
-    Dp: np.ndarray
-    Cplus: np.ndarray
-    Cminus: np.ndarray
     Wplus: np.ndarray
     Wminus: np.ndarray
     branch: int
 
 
 def eval_structure(p: RacahParams, zs: ZeroSet, branch: int = +1) -> RacahStructureEval:
-    """Evaluate z^(+/-), Z, B, D, B', D', C^(+/-), W^(+/-) at every zero."""
+    """Evaluate z^(+/-), Z, B, D, B', D', C^(+/-), W^(+/-) at every zero.
+
+    The guards are checked over whole arrays: first the point guards, then
+    the pair guards z_n-z_m, z_n^(+)-z_m and z_n^(-)-z_m, each naming the
+    first failing point or pair in row-major order.
+    """
     z = np.asarray(zs.zbar, dtype=complex)
-    n = len(z)
-    pts = [point_structure(p, zi, branch) for zi in z]
-    z_plus = np.array([pt.z_plus for pt in pts])
-    z_minus = np.array([pt.z_minus for pt in pts])
-    w_plus = np.zeros((n, n), dtype=complex)
-    w_minus = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = z[i] - z[j]
-            _guard(abs(d), "z_n-z_m")
-            dp = z_plus[i] - z[j]
-            dm = z_minus[i] - z[j]
-            _guard(abs(dp), "z_n^(+)-z_m")
-            _guard(abs(dm), "z_n^(-)-z_m")
-            w_plus[i, j] = (pts[i].Cplus * d - z_plus[i] + z[j]) / (d * dp)
-            w_minus[i, j] = (pts[i].Cminus * d - z_minus[i] + z[j]) / (d * dm)
-    return RacahStructureEval(
-        z_plus=z_plus,
-        z_minus=z_minus,
-        Zval=np.array([pt.Zval for pt in pts]),
-        Bval=np.array([pt.Bval for pt in pts]),
-        Dval=np.array([pt.Dval for pt in pts]),
-        Bp=np.array([pt.Bp for pt in pts]),
-        Dp=np.array([pt.Dp for pt in pts]),
-        Cplus=np.array([pt.Cplus for pt in pts]),
-        Cminus=np.array([pt.Cminus for pt in pts]),
-        Wplus=w_plus,
-        Wminus=w_minus,
-        branch=branch,
+    pt = point_structure(p, z, branch)
+    d, d_plus, d_minus = _pair_differences(z, pt.z_plus, pt.z_minus)
+    _guard(
+        (abs(d), "z_n-z_m"),
+        (abs(d_plus), "z_n^(+)-z_m"),
+        (abs(d_minus), "z_n^(-)-z_m"),
     )
+    w_plus = (pt.Cplus[:, None] * d - pt.z_plus[:, None] + z[None, :]) / (d * d_plus)
+    w_minus = (pt.Cminus[:, None] * d - pt.z_minus[:, None] + z[None, :]) / (d * d_minus)
+    np.fill_diagonal(w_plus, 0.0)
+    np.fill_diagonal(w_minus, 0.0)
+    return RacahStructureEval(**vars(pt), Wplus=w_plus, Wminus=w_minus, branch=branch)
 
 
 def build_matrix_L(p: RacahParams, zs: ZeroSet, branch: int = +1) -> SpectralMatrix:
-    """Assemble L from the zeros; its predicted spectrum is lambda_1..lambda_N."""
+    """Assemble L from the zeros; its predicted spectrum is lambda_1..lambda_N.
+
+    The leave-two-out product of entry (n, m) is the leave-one-out product
+    of row n divided by its factor (z_n^(+/-) - z_m)/(z_n - z_m), which the
+    z_n^(+/-)-z_m guard keeps away from zero.
+    """
     se = eval_structure(p, zs, branch=branch)
     z = np.asarray(zs.zbar, dtype=complex)
-    n = len(z)
-    entries = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        ratio_plus = 1.0 + 0.0j
-        ratio_minus = 1.0 + 0.0j
-        for l in range(n):
-            if l == i:
-                continue
-            d = z[i] - z[l]
-            ratio_plus *= (se.z_plus[i] - z[l]) / d
-            ratio_minus *= (se.z_minus[i] - z[l]) / d
-        dz_plus = se.z_plus[i] - z[i]
-        dz_minus = se.z_minus[i] - z[i]
-        sum_plus = sum(se.Wplus[i, m] for m in range(n) if m != i)
-        sum_minus = sum(se.Wminus[i, m] for m in range(n) if m != i)
-        entries[i, i] = (
-            se.Bp[i] * dz_plus + se.Bval[i] * (se.Cplus[i] - 1.0 + dz_plus * sum_plus)
-        ) * ratio_plus + (
-            se.Dp[i] * dz_minus + se.Dval[i] * (se.Cminus[i] - 1.0 + dz_minus * sum_minus)
-        ) * ratio_minus
-        for m in range(n):
-            if m == i:
-                continue
-            prod_plus = 1.0 + 0.0j
-            prod_minus = 1.0 + 0.0j
-            for l in range(n):
-                if l == i or l == m:
-                    continue
-                d = z[i] - z[l]
-                prod_plus *= (se.z_plus[i] - z[l]) / d
-                prod_minus *= (se.z_minus[i] - z[l]) / d
-            dim = z[i] - z[m]
-            entries[i, m] = (
-                se.Bval[i] * (dz_plus / dim) ** 2 * prod_plus
-                + se.Dval[i] * (dz_minus / dim) ** 2 * prod_minus
-            )
+    d, d_plus, d_minus = _pair_differences(z, se.z_plus, se.z_minus)
+    ratio_plus = np.prod(d_plus / d, axis=1)
+    ratio_minus = np.prod(d_minus / d, axis=1)
+    dz_plus = se.z_plus - z
+    dz_minus = se.z_minus - z
+    prod_plus = ratio_plus[:, None] * d / d_plus  # the leave-two-out products
+    prod_minus = ratio_minus[:, None] * d / d_minus
+    entries = (
+        se.Bval[:, None] * (dz_plus[:, None] / d) ** 2 * prod_plus
+        + se.Dval[:, None] * (dz_minus[:, None] / d) ** 2 * prod_minus
+    )
+    diag = (
+        se.Bp * dz_plus + se.Bval * (se.Cplus - 1.0 + dz_plus * se.Wplus.sum(axis=1))
+    ) * ratio_plus + (
+        se.Dp * dz_minus + se.Dval * (se.Cminus - 1.0 + dz_minus * se.Wminus.sum(axis=1))
+    ) * ratio_minus
+    np.fill_diagonal(entries, diag)
     return SpectralMatrix(entries=entries, predicted=predicted_lambda(p), label="L")
 
 
@@ -273,6 +258,7 @@ def prop23_residuals(p: RacahParams, zs: ZeroSet, branch: int = +1) -> np.ndarra
     hand-built zero sets are measured at face value.
     """
     rec = zs.recurrence_for(p)
+    point_structure(p, np.asarray(zs.zbar, dtype=complex), branch)  # enforces the guards
     out = np.empty(len(zs.zbar))
     with mpmath.workdps(WORKING_DPS):
         q, al, be, ga, de = (_mpc(v) for v in (p.q, p.alpha, p.beta, p.gamma, p.delta))
@@ -280,7 +266,6 @@ def prop23_residuals(p: RacahParams, zs: ZeroSet, branch: int = +1) -> np.ndarra
         gdq = gd * q
         corr = (1 - q * q) / (2 * q)
         for i, z in enumerate(zs.zbar):
-            point_structure(p, z, branch)  # enforces the structure guards
             hp = _zero_hp_matching(zs, i)
             z_hp = _mpc(z) if hp is None else hp
             s = branch * mpmath.sqrt(z_hp * z_hp - 4 * gdq)

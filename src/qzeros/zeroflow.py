@@ -16,6 +16,13 @@ finite-difference side of that consistency check. The integrator is
 classical RK4 with step-doubling error control and stops (raising
 SingularTrajectory with the partial trajectory attached) if a structure
 guard trips mid-flow.
+
+Both velocities run no Python loop over points or pairs. They evaluate the
+structure functions on the whole position array and the pair factors on
+N x N arrays, with the kernels that build M and L: awspec._kernel_matrix
+on the points stacked as (z_n, 1/z_n), and racahspec.point_structure with
+racahspec._pair_differences. A guard names the first failing point, else
+the first failing pair, in row-major order.
 """
 
 from __future__ import annotations
@@ -24,13 +31,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     BranchDegenerate,
     DegenerateConfiguration,
     SingularConfiguration,
     SingularTrajectory,
+    guard,
 )
 from .numlin import SpectralMatrix, ZeroSet
 from .polyform import AWParams, RacahParams, x_to_z
@@ -90,50 +97,25 @@ def aw_velocity(
     should be replaced by its reciprocal; the result is unchanged, which is
     itself one of the verified properties.
     """
-    xs = np.asarray(state.positions, dtype=complex)
-    n = len(xs)
-    z = np.array([x_to_z(x) for x in xs])
+    z = x_to_z(np.asarray(state.positions, dtype=complex))
     if branch_flips is not None:
-        for i, flip in enumerate(branch_flips):
-            if flip == -1:
-                z[i] = 1.0 / z[i]
-    out = np.empty(n, dtype=complex)
-    scale = (p.q - 1.0) / (2.0 * p.q**p.N)
-    for i in range(n):
-        g_plus = awspec.eval_G_pair(p, z[i])[0]
-        g_minus = awspec.eval_G_pair(p, 1.0 / z[i])[0]
-        prod_plus = 1.0 + 0.0j
-        prod_minus = 1.0 + 0.0j
-        for l in range(n):
-            if l == i:
-                continue
-            prod_plus *= awspec.eval_K(p.q, z[i], z[l])
-            prod_minus *= awspec.eval_K(p.q, 1.0 / z[i], 1.0 / z[l])
-        out[i] = scale * (g_plus * prod_plus + g_minus * prod_minus)
-    return out
+        z = np.where(np.asarray(branch_flips) == -1, awspec._reciprocal(z), z)
+    zw = np.stack([z, awspec._reciprocal(z)], axis=1)  # row n: (z_n, 1/z_n)
+    g = awspec.eval_G_pair(p, zw)[0]
+    prods = np.prod(awspec._kernel_matrix(p.q, zw), axis=1)
+    terms = g * prods
+    return (p.q - 1.0) / (2.0 * p.q**p.N) * (terms[:, 0] + terms[:, 1])
 
 
 def racah_velocity(p: RacahParams, state: FlowState, branch: int = +1) -> np.ndarray:
     """q-Racah flow velocities at the state's z-positions."""
-    zs = np.asarray(state.positions, dtype=complex)
-    n = len(zs)
-    out = np.empty(n, dtype=complex)
-    for i in range(n):
-        pt = racahspec.point_structure(p, zs[i], branch)
-        prod_plus = 1.0 + 0.0j
-        prod_minus = 1.0 + 0.0j
-        for l in range(n):
-            if l == i:
-                continue
-            d = zs[i] - zs[l]
-            if abs(d) <= racahspec.GUARD_EPS:
-                raise SingularConfiguration("z_n-z_m", abs(d))
-            prod_plus *= (pt.z_plus - zs[l]) / d
-            prod_minus *= (pt.z_minus - zs[l]) / d
-        out[i] = pt.Bval * (pt.z_plus - zs[i]) * prod_plus + pt.Dval * (
-            pt.z_minus - zs[i]
-        ) * prod_minus
-    return out
+    z = np.asarray(state.positions, dtype=complex)
+    pt = racahspec.point_structure(p, z, branch, derivatives=False)
+    d, d_plus, d_minus = racahspec._pair_differences(z, pt.z_plus, pt.z_minus)
+    guard((abs(d), "z_n-z_m"))
+    ratio_plus = np.prod(d_plus / d, axis=1)
+    ratio_minus = np.prod(d_minus / d, axis=1)
+    return pt.Bval * (pt.z_plus - z) * ratio_plus + pt.Dval * (pt.z_minus - z) * ratio_minus
 
 
 def velocity_for(params: Union[AWParams, RacahParams]) -> VelocityFn:
@@ -249,6 +231,8 @@ def linearization_check(
             f"t_short * ||matrix|| = {t_short * mat_norm:.3f} exceeds 0.5; "
             "the comparison window must stay short"
         )
+    from scipy.linalg import expm  # imported here: qz flow never needs it
+
     rhs = velocity_for(params)
     start = FlowState(family=zs.family, positions=base + epsilon * direction, time=0.0)
     trajectory = integrate_flow(rhs, start, t_end=t_short, dt_max=t_short / 8.0)

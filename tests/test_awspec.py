@@ -195,6 +195,7 @@ class TestCorollaries:
 
 
 class TestGuardDiagnostics:
+    @pytest.mark.filterwarnings("error")
     def test_zero_at_unit_x_names_the_guard(self):
         # a zero at x = +-1 maps to z^2 = 1, the guarded denominator of A
         p, zs = random_instance(3, 0.5, 3)

@@ -255,3 +255,69 @@ class TestCliErrorMapping:
         with pytest.raises(SystemExit) as info:
             main(["verify", "--family", "aw", "-a", "2", "-q", "0.5", "-N", "1"])
         assert info.value.code == 4
+
+
+def _racah_seed0_q06_n24_argv():
+    # the seed-0 q-Racah draw at q = 0.6, N = 24 trips the z_n^(-)-z_m guard: exit 3
+    p = draw_racah_params(SplitMix64(0), 0.6, 24)
+    params = []
+    for flag, value in (("--alpha", p.alpha), ("--beta", p.beta), ("--gamma", p.gamma),
+                        ("--delta", p.delta)):
+        params += [flag, repr(complex(value))]
+    return ["matrix", "--family", "racah", *params, "-q", "0.6", "-N", "24"]
+
+
+class TestParserReuse:
+    # (argv, exit code): the parser is built once per process and reused
+    SEQUENCE = [
+        (["zeros", *AW_ARGS], 0),
+        (["spectrum", *RACAH_ARGS, "--format", "csv"], 0),
+        (["spectrum", *AW_ARGS, "--tol", "spectrum_match=1e-300"], 2),
+        (_racah_seed0_q06_n24_argv(), 3),
+        (["matrix", "--family", "racah", "-q", "0.5", "-N", "1", "--alpha", "3"], 4),
+        (["verify", *AW_ARGS, "--tol", "bogus=1"], 4),
+    ]
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        stderr = captured.err if code in (3, 4) else ""  # the others report their elapsed time
+        return code, captured.out, stderr
+
+    def test_reused_parser_matches_fresh(self, capsys):
+        from qzeros import cli
+
+        reused = [self.run(argv, capsys) for argv, _ in self.SEQUENCE]
+        fresh = []
+        for argv, _ in self.SEQUENCE:
+            cli._parser.cache_clear()
+            fresh.append(self.run(argv, capsys))
+        assert reused == fresh
+        assert [r[0] for r in reused] == [code for _, code in self.SEQUENCE]
+        assert "z_n^(-)-z_m" in reused[3][2]
+
+
+def test_flow_zeros_matrix_never_import_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import qzeros
+
+    script = (
+        "import sys\n"
+        "from qzeros.cli import main\n"
+        f"args = {AW_ARGS!r}\n"
+        "codes = [main([cmd, *args]) for cmd in ('flow', 'zeros', 'matrix')]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qzeros.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"
