@@ -21,9 +21,9 @@ which depends on a,b,c,d only through the product abcd.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from typing import Callable, Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import GUARD_EPS, QZerosError, guard as _guard
@@ -35,7 +35,7 @@ from .numlin import (
     eigenvalues,
     match_spectra,
 )
-from .polyform import WORKING_DPS, AWParams, ComplexScalar, _mpc
+from .polyform import AWParams, ComplexScalar, DecimalComplex
 from .qkernel import qpochhammer
 from .report import (
     VerificationReport,
@@ -45,7 +45,7 @@ from .report import (
     resolve_tolerances,
 )
 
-_FLOOR = float(np.finfo(float).tiny)
+_FLOOR = Decimal(float(np.finfo(float).tiny))
 
 #: Parameter scalings (t*a, b/t, c, d) used by the isospectrality sweep.
 ISOSPECTRAL_T_VALUES = (0.5, 2.0, 1.0 + 0.3j)
@@ -213,54 +213,30 @@ def prop21_residuals(p: AWParams, zs: ZeroSet) -> np.ndarray:
     to the point that a double-rounded zero cannot satisfy it to 1e-8 at
     all; where the zero set carries its pre-rounding zeros and they still
     agree with the stored doubles, the residual is therefore evaluated at
-    the high-precision zeros. p_N is evaluated through the zero set's
-    mpmath recurrence. A zero set whose ``zbar`` was perturbed or
-    hand-built is measured at its doubles and reports honestly large
-    residuals.
+    the high-precision zeros. A, p_N (through the zero set's recurrence)
+    and the residual run at WORKING_DPS digits on DecimalComplex. A zero
+    set whose ``zbar`` was perturbed or hand-built is measured at its
+    doubles and reports honestly large residuals.
     """
     rec = zs.recurrence_for(p)
     eval_A(p, np.asarray(zs.zbar, dtype=complex))  # enforce the guards on the stored zeros
     out = np.empty(len(zs.zbar))
-    with mpmath.workdps(WORKING_DPS):
-        q = _mpc(p.q)
-        abcd = [_mpc(v) for v in (p.a, p.b, p.c, p.d)]
+    with rec.arithmetic():
+        q, a, b, c, d = map(DecimalComplex.of, (p.q, p.a, p.b, p.c, p.d))
 
         def a_of(z):
-            num = mpmath.mpc(1)
-            for c in abcd:
-                num *= 1 - c * z
-            return num / ((1 - z * z) * (1 - q * z * z))
+            z2 = z * z
+            return (1 - a * z) * (1 - b * z) * (1 - c * z) * (1 - d * z) / ((1 - z2) * (1 - q * z2))
 
         def p_at(w):
             return rec.value((w * w + 1) / (2 * w))
 
-        for i, z in enumerate(zs.zbar):
-            hp = _zero_hp_matching(zs, i)
-            z_hp = _mpc(z) if hp is None else hp
+        for i in range(len(zs.zbar)):
+            z_hp = zs.z_hp(i)
             t1 = a_of(z_hp) * p_at(q * z_hp)
             t2 = a_of(1 / z_hp) * p_at(z_hp / q)
             out[i] = float(abs(t1 + t2) / (abs(t1) + abs(t2) + _FLOOR))
     return out
-
-
-def _zero_hp_matching(zs: ZeroSet, i: int):
-    """The high-precision z-plane zero for index i, or None if unusable.
-
-    The x-plane value maps to two z candidates; the one matching the stored
-    ``zbar[i]`` (to 1e-12 relative) is returned, so per-coordinate branch
-    flips keep their high-precision counterpart while perturbed zero sets
-    lose it and are measured at face value.
-    """
-    if zs.zeros_hp is None:
-        return None
-    with mpmath.workdps(WORKING_DPS):
-        x = zs.zeros_hp[i]
-        w = x + mpmath.sqrt(x * x - 1)
-        target = zs.zbar[i]
-        best = min((w, 1 / w), key=lambda v: abs(complex(v) - target))
-        if abs(complex(best) - target) <= 1e-12 * max(1.0, abs(target)):
-            return best
-    return None
 
 
 def apply_Q_operator(

@@ -6,12 +6,12 @@ matrix of its monic three-term recurrence (Koekoek-Lesky-Swarttouw 2010,
 eq. 14.1.4 for Askey-Wilson and eq. 14.2.3 for q-Racah; see
 ``polyform.recurrence_coefficients``). The double-precision eigenvalues
 seed one Newton polish per zero on the recurrence and its differentiated
-form, in mpmath at ``polyform.WORKING_DPS`` digits, or in double where only
-spectra at 1e-6 are needed. Unlike the q-series sums or a monomial
-expansion, the recurrence does not cancel catastrophically at small q and
-large N. Each zero is certified by its final Newton step; zeros are
-returned sorted ascending by (real, imaginary) so repeated runs produce
-identical sequences.
+form, at ``polyform.WORKING_DPS`` digits on ``polyform.DecimalComplex``
+(the C ``decimal`` module), or in double where only spectra at 1e-6 are
+needed. Unlike the q-series sums or a monomial expansion, the recurrence
+does not cancel catastrophically at small q and large N. Each zero is
+certified by its final Newton step; zeros are returned sorted ascending
+by (real, imaginary) so repeated runs produce identical sequences.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import DegenerateConfiguration, LengthMismatch, NoConvergence
 from .polyform import (
     AWParams,
     ComplexScalar,
+    DecimalComplex,
     RacahParams,
     Recurrence,
     recurrence_coefficients,
@@ -57,11 +58,12 @@ class ZeroSet:
     zero i, relative to max(1, |zero|), in the variable of the recurrence.
 
     ``zeros_hp``, when present, holds the same zeros (x-plane for
-    Askey-Wilson, z-plane for q-Racah) before the rounding to double, and
-    ``recurrence_hp`` the mpmath recurrence they were polished on; the
+    Askey-Wilson, z-plane for q-Racah) as DecimalComplex values at
+    WORKING_DPS digits, before the rounding to double, and
+    ``recurrence_hp`` the DecimalComplex recurrence they were polished on; the
     identity-residual checks evaluate P_N through it at the high-precision
-    zeros, after verifying per zero that they still match the stored
-    doubles. Both are None for an unpolished (double-precision) zero set.
+    zeros (``z_hp``), which must still match the stored doubles. Both are
+    None for an unpolished (double-precision) zero set.
     """
 
     family: str
@@ -74,10 +76,26 @@ class ZeroSet:
     recurrence_hp: Optional[Recurrence] = None
 
     def recurrence_for(self, params: Union[AWParams, RacahParams]) -> Recurrence:
-        """The carried mpmath recurrence when it belongs to params, else a fresh one."""
+        """The carried WORKING_DPS recurrence when it belongs to params, else a fresh one."""
         if self.recurrence_hp is not None and self.params == params:
             return self.recurrence_hp
         return recurrence_coefficients(params, hp=True)
+
+    def z_hp(self, i: int) -> DecimalComplex:
+        """z-plane zero i in DecimalComplex: the high-precision zero while it
+        matches ``zbar[i]`` to 1e-12 relative (of an Askey-Wilson zero's two
+        z images w, 1/w, the one that does), else ``zbar[i]`` itself, so
+        perturbed zero sets are measured at face value. Runs in the caller's
+        decimal context."""
+        target = self.zbar[i]
+        if self.zeros_hp is not None:
+            w = self.zeros_hp[i]
+            if self.family == "aw":
+                w = w + (w * w - 1).sqrt()
+                w = min((w, 1 / w), key=lambda v: abs(complex(v) - target))
+            if abs(complex(w) - target) <= 1e-12 * max(1.0, abs(target)):
+                return w
+        return DecimalComplex.of(target)
 
 
 @dataclass
@@ -134,8 +152,8 @@ def _newton(rec: Recurrence, x, target: float):
 def find_polynomial_zeros(rec: Recurrence) -> tuple[list, np.ndarray]:
     """All zeros of the recurrence's P_N, Jacobi-seeded and Newton-polished once.
 
-    Polishing runs in the recurrence's own arithmetic: mpmath at ``rec.dps``
-    digits, where the final relative Newton step must reach
+    Polishing runs in the recurrence's own arithmetic: DecimalComplex at
+    ``rec.dps`` digits, where the final relative Newton step must reach
     10^-(dps/2) (quadratic convergence then leaves the zero accurate to the
     working precision), or double, where it must reach RESIDUAL_BOUND.
     Returns the zeros in that arithmetic, sorted by the (real, imaginary)
@@ -227,10 +245,11 @@ def match_spectra(
 def compute_zero_set(params: Union[AWParams, RacahParams], polish: bool = True) -> ZeroSet:
     """Find all N zeros of the family instance and package them as a ZeroSet.
 
-    With ``polish`` (the default) the zeros are polished in mpmath and the
-    zero set carries them and their recurrence at that precision. Without,
-    they are polished in double only, which is enough where just the
-    spectrum of the matrix built from them is compared at 1e-6.
+    With ``polish`` (the default) the zeros are polished at WORKING_DPS
+    digits and the zero set carries them and their recurrence at that
+    precision. Without, they are polished in double only, which is enough
+    where just the spectrum of the matrix built from them is compared at
+    1e-6.
     Degree 0 is rejected: a constant polynomial has no zeros.
     """
     if params.N < 1:

@@ -23,18 +23,20 @@ eq. 14.2.3 for q-Racah in z, monic forms 14.1.5 and 14.2.4):
 
 P_N's zeros are the eigenvalues of the N x N tridiagonal (Jacobi) matrix
 with diagonal b_n and off-diagonal products c_n (Golub & Welsch 1969), and
-the recurrence evaluates P_N and its derivative stably, in double or in
-mpmath at WORKING_DPS digits. The related rational form
-P_N(z) = p_N((z^2+1)/(2z)) and the change of variables z = x + sqrt(x^2-1)
-(principal branch) live here too.
+the recurrence evaluates P_N and its derivative stably, in double or at
+WORKING_DPS digits on DecimalComplex, a complex type over the C
+``decimal`` module. The related rational form P_N(z) = p_N((z^2+1)/(2z))
+and the change of variables z = x + sqrt(x^2-1) (principal branch) live
+here too.
 """
 
 from __future__ import annotations
 
 import contextlib
+import decimal
 from dataclasses import dataclass
+from decimal import Decimal
 
-import mpmath
 import numpy as np
 
 from .errors import DegenerateDenominator, ZeroArgument
@@ -228,9 +230,93 @@ def racah_eval(p: RacahParams, z: ComplexScalar) -> tuple[ComplexScalar, Complex
 WORKING_DPS = 50
 
 
-def _mpc(value: ComplexScalar) -> "mpmath.mpc":
-    value = complex(value)
-    return mpmath.mpc(value.real, value.imag)
+def working_precision(dps: int | None):
+    """Decimal arithmetic at dps + 2 digits (unit roundoff 5e-(dps+2)) in a context of its
+    own, trapping division by zero, invalid operations and overflow; None is a no-op."""
+    if dps is None:
+        return contextlib.nullcontext()
+    traps = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
+    return decimal.localcontext(decimal.Context(dps + 2, decimal.ROUND_HALF_EVEN, traps=traps))
+
+
+class DecimalComplex:
+    """A complex number with ``decimal.Decimal`` parts, for the WORKING_DPS work.
+
+    Arithmetic rounds in the current decimal context (working precision in
+    ``Recurrence.arithmetic()``). Int, float and complex operands, numpy's
+    included, convert exactly; other types raise TypeError, never pass
+    through a double. Division by zero raises ZeroDivisionError.
+    """
+
+    __slots__ = ("real", "imag")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, real: Decimal, imag: Decimal = Decimal(0)):
+        self.real, self.imag = real, imag
+
+    @staticmethod
+    def of(value) -> "DecimalComplex":
+        """The exact DecimalComplex of a DecimalComplex, int, float, complex or Decimal."""
+        if type(value) is DecimalComplex:
+            return value
+        if isinstance(value, (int, float, Decimal, complex)):
+            return DecimalComplex(Decimal(value.real), Decimal(value.imag))
+        raise TypeError(f"cannot convert {type(value).__name__} to DecimalComplex")
+
+    def __add__(self, other):
+        o = other if type(other) is DecimalComplex else DecimalComplex.of(other)
+        return DecimalComplex(self.real + o.real, self.imag + o.imag)
+
+    def __sub__(self, other):
+        o = other if type(other) is DecimalComplex else DecimalComplex.of(other)
+        return DecimalComplex(self.real - o.real, self.imag - o.imag)
+
+    def __mul__(self, other):
+        o = other if type(other) is DecimalComplex else DecimalComplex.of(other)
+        a, b, c, d = self.real, self.imag, o.real, o.imag
+        return DecimalComplex(a * c - b * d, a * d + b * c)
+
+    def __truediv__(self, other):
+        o = other if type(other) is DecimalComplex else DecimalComplex.of(other)
+        a, b, c, d = self.real, self.imag, o.real, o.imag
+        den = c * c + d * d
+        if not den:  # decimal would signal 0/0 as InvalidOperation
+            raise ZeroDivisionError("DecimalComplex division by zero")
+        return DecimalComplex((a * c + b * d) / den, (b * c - a * d) / den)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __rsub__(self, other):
+        return DecimalComplex.of(other) - self
+
+    def __rtruediv__(self, other):
+        return DecimalComplex.of(other) / self
+
+    def __neg__(self):
+        return DecimalComplex(-self.real, -self.imag)
+
+    def __abs__(self) -> Decimal:
+        return (self.real * self.real + self.imag * self.imag).sqrt()
+
+    def __eq__(self, other):
+        try:
+            o = other if type(other) is DecimalComplex else DecimalComplex.of(other)
+        except TypeError:
+            return NotImplemented
+        return self.real == o.real and self.imag == o.imag
+
+    def __complex__(self) -> complex:
+        return complex(float(self.real), float(self.imag))
+
+    def sqrt(self) -> "DecimalComplex":
+        """Principal square root; the negative real axis maps to the upper imaginary axis."""
+        a, b = self.real, self.imag
+        if not b:
+            return DecimalComplex(a.sqrt()) if a >= 0 else DecimalComplex(Decimal(0), (-a).sqrt())
+        t = ((abs(self) + abs(a)) / 2).sqrt()
+        if a >= 0:
+            return DecimalComplex(t, b / (2 * t))
+        return DecimalComplex(abs(b) / (2 * t), t if b > 0 else -t)
 
 
 @dataclass(frozen=True)
@@ -241,8 +327,8 @@ class Recurrence:
     the family polynomial divided by its leading coefficient: in x for
     Askey-Wilson, in z for q-Racah. Its zeros are the eigenvalues of the
     tridiagonal (Jacobi) matrix with diagonal b and off-diagonal products c.
-    ``dps`` is None for Python complex entries, or the mpmath working
-    precision of mpc entries, at which the evaluations below then run.
+    ``dps`` is None for complex entries, or the precision in digits of
+    DecimalComplex entries, at which the evaluations below then run.
     """
 
     b: tuple
@@ -255,7 +341,7 @@ class Recurrence:
 
     def arithmetic(self):
         """Context in which arithmetic on the entries runs at their precision."""
-        return contextlib.nullcontext() if self.dps is None else mpmath.workdps(self.dps)
+        return working_precision(self.dps)
 
     def value(self, t):
         """P_N(t)."""
@@ -340,17 +426,17 @@ def recurrence_coefficients(p: AWParams | RacahParams, hp: bool = False) -> Recu
     Koekoek-Lesky-Swarttouw (2010), eq. 14.1.4 (Askey-Wilson, variable x)
     and eq. 14.2.3 (q-Racah, variable z = q^-x + gamma*delta*q^(x+1)), in
     their monic forms 14.1.5 and 14.2.4. Powers of q are carried as running
-    products. With ``hp`` the coefficients are mpmath values at WORKING_DPS.
+    products. With ``hp`` the coefficients are DecimalComplex values at
+    WORKING_DPS digits (in a decimal context of their own).
     Raises DegenerateDenominator when a coefficient denominator vanishes,
     i.e. when some lower-degree polynomial of the family drops degree.
     """
     if not isinstance(p, (AWParams, RacahParams)):
         raise TypeError(f"unsupported parameter type {type(p).__name__}")
     build = _aw_recurrence if isinstance(p, AWParams) else _racah_recurrence
+    dps = WORKING_DPS if hp else None
     try:
-        if not hp:
-            return Recurrence(*map(tuple, build(p, complex)))
-        with mpmath.workdps(WORKING_DPS):
-            return Recurrence(*map(tuple, build(p, _mpc)), dps=WORKING_DPS)
+        with working_precision(dps):
+            return Recurrence(*map(tuple, build(p, DecimalComplex.of if hp else complex)), dps)
     except ZeroDivisionError as exc:
         raise DegenerateDenominator(f"three-term recurrence denominator vanished: {exc}") from exc

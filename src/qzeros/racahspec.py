@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from typing import Callable, Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import GUARD_EPS, BranchDegenerate, QZerosError, first_failure, guard as _guard
@@ -35,7 +35,7 @@ from .numlin import (
     eigenvalues,
     match_spectra,
 )
-from .polyform import WORKING_DPS, ComplexScalar, RacahParams, _mpc
+from .polyform import ComplexScalar, DecimalComplex, RacahParams
 from .qkernel import qpochhammer
 from .report import (
     VerificationReport,
@@ -45,7 +45,7 @@ from .report import (
     resolve_tolerances,
 )
 
-_FLOOR = float(np.finfo(float).tiny)
+_FLOOR = Decimal(float(np.finfo(float).tiny))
 
 #: Parameter scalings (t*alpha, beta/t) used by the isospectrality sweep.
 ISOSPECTRAL_T_VALUES = (0.5, 2.0, 1.0 + 0.3j)
@@ -249,60 +249,38 @@ def predicted_lambda(p: RacahParams) -> np.ndarray:
 def prop23_residuals(p: RacahParams, zs: ZeroSet, branch: int = +1) -> np.ndarray:
     """Normalized residuals of B(z_n) R_N(z_n^(+)) + D(z_n) R_N(z_n^(-)) = 0.
 
-    R_N is evaluated through the zero set's mpmath three-term recurrence,
-    which stays accurate where the defining q-sum cancels heavily. Like the
-    Askey-Wilson identity, this one can sharpen beyond what a
-    double-rounded zero resolves, so where the zero set carries its
-    pre-rounding zeros and they still agree with the stored doubles the
-    residual is computed at the high-precision zeros; perturbed or
-    hand-built zero sets are measured at face value.
+    R_N is evaluated through the zero set's three-term recurrence, which
+    stays accurate where the defining q-sum cancels heavily; it, B, D and
+    the square root run at WORKING_DPS digits on DecimalComplex. Like the
+    Askey-Wilson identity, this one can sharpen beyond what a double-rounded
+    zero resolves, so where the zero set carries its pre-rounding zeros and
+    they still agree with the stored doubles the residual is computed at
+    the high-precision zeros; perturbed or hand-built zero sets are
+    measured at face value.
     """
     rec = zs.recurrence_for(p)
     point_structure(p, np.asarray(zs.zbar, dtype=complex), branch)  # enforces the guards
     out = np.empty(len(zs.zbar))
-    with mpmath.workdps(WORKING_DPS):
-        q, al, be, ga, de = (_mpc(v) for v in (p.q, p.alpha, p.beta, p.gamma, p.delta))
+    with rec.arithmetic():
+        q, al, be, ga, de = map(DecimalComplex.of, (p.q, p.alpha, p.beta, p.gamma, p.delta))
         gd = ga * de
         gdq = gd * q
         corr = (1 - q * q) / (2 * q)
-        for i, z in enumerate(zs.zbar):
-            hp = _zero_hp_matching(zs, i)
-            z_hp = _mpc(z) if hp is None else hp
-            s = branch * mpmath.sqrt(z_hp * z_hp - 4 * gdq)
+        for i in range(len(zs.zbar)):
+            z_hp = zs.z_hp(i)
+            s = branch * (z_hp * z_hp - 4 * gdq).sqrt()
             zval = (z_hp + s) / (2 * gdq)
             z_plus = q * z_hp + corr * (z_hp - s)
             z_minus = z_hp / q - corr * (z_hp - s)
             z2 = zval * zval
-            bval = (
-                (1 - al * q * zval)
-                * (1 - be * de * q * zval)
-                * (1 - ga * q * zval)
-                * (1 - gd * q * zval)
-                / ((1 - gdq * z2) * (1 - gd * q * q * z2))
-            )
-            dval = (
-                q
-                * (1 - zval)
-                * (1 - de * zval)
-                * (be - ga * zval)
-                * (al - gd * zval)
-                / ((1 - gd * z2) * (1 - gdq * z2))
-            )
+            bval = (1 - al * q * zval) * (1 - be * de * q * zval) * (1 - ga * q * zval)
+            bval *= (1 - gdq * zval) / ((1 - gdq * z2) * (1 - gd * q * q * z2))
+            dval = q * (1 - zval) * (1 - de * zval) * (be - ga * zval) * (al - gd * zval)
+            dval /= (1 - gd * z2) * (1 - gdq * z2)
             t1 = bval * rec.value(z_plus)
             t2 = dval * rec.value(z_minus)
             out[i] = float(abs(t1 + t2) / (abs(t1) + abs(t2) + _FLOOR))
     return out
-
-
-def _zero_hp_matching(zs: ZeroSet, i: int):
-    """The high-precision zero for index i, or None if it no longer matches."""
-    if zs.zeros_hp is None:
-        return None
-    hp = zs.zeros_hp[i]
-    target = zs.zbar[i]
-    if abs(complex(hp) - target) <= 1e-12 * max(1.0, abs(target)):
-        return hp
-    return None
 
 
 def apply_racah_difference(

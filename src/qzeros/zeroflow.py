@@ -101,7 +101,8 @@ def aw_velocity(
     if branch_flips is not None:
         z = np.where(np.asarray(branch_flips) == -1, awspec._reciprocal(z), z)
     zw = np.stack([z, awspec._reciprocal(z)], axis=1)  # row n: (z_n, 1/z_n)
-    g = awspec.eval_G_pair(p, zw)[0]
+    guard((abs(zw), "z"))
+    g = awspec.eval_A(p, zw) * (p.q * zw - 1.0 / zw)  # G; eval_A guards z^2-1, q*z^2-1
     prods = np.prod(awspec._kernel_matrix(p.q, zw), axis=1)
     terms = g * prods
     return (p.q - 1.0) / (2.0 * p.q**p.N) * (terms[:, 0] + terms[:, 1])

@@ -265,9 +265,11 @@ class TestRecurrence:
             assert rec.degree == params.N
             for _ in range(params.N + 2):
                 x = complex(3 * stream.next_float() - 1.5, stream.next_float() - 0.5)
+                got = rec.value(x)
                 with mpmath.workdps(120):
                     oracle = mpmath.polyval(poly.coeffs_hp[::-1], x) / poly.coeffs_hp[-1]
-                    got = rec.value(x)
+                    if hp:  # the decimal value, carried into mpmath at 120 digits
+                        got = mpmath.mpc(mpmath.mpf(str(got.real)), mpmath.mpf(str(got.imag)))
                     assert abs(got - oracle) <= tol * (1 + abs(oracle))
 
     def test_derivative_matches_central_differences(self):
