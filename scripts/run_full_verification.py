@@ -20,7 +20,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from qzeros.cli import run_verify
-from qzeros.sweeps import SplitMix64, draw_aw_params, draw_racah_params
+from qzeros.sweeps import SplitMix64
+from qzeros.zeroflow import FAMILIES
 
 Q_GRIDS = {"aw": (0.3, 0.6, 0.5 + 0.2j), "racah": (0.3, 0.6)}
 
@@ -38,7 +39,7 @@ def main() -> int:
     started = time.monotonic()
     for family in families:
         stream = SplitMix64(args.seed)
-        draw = draw_aw_params if family == "aw" else draw_racah_params
+        draw = FAMILIES[family].draw
         for n in range(1, args.max_degree + 1):
             for q in Q_GRIDS[family]:
                 params = draw(stream, q, n)

@@ -1,4 +1,4 @@
-"""Askey-Wilson spectral layer: structure functions, the matrix M, checks.
+"""Askey-Wilson spectral layer: structure functions, the matrix M, identity residuals.
 
 The rational coefficient
 
@@ -15,40 +15,21 @@ M's eigenvalues are predicted in closed form by
 
     mu_n = q^(-N) (1 - q^n) (1 - abcd q^(2N-1-n)),    n = 1..N,
 
-which depends on a,b,c,d only through the product abcd.
+which depends on a,b,c,d only through the product abcd
+(report.spectrum_closed_form, shared with q-Racah).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from decimal import Decimal
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import GUARD_EPS, QZerosError, guard as _guard
-from .numlin import (
-    SpectralMatrix,
-    ZeroSet,
-    compute_zero_set,
-    determinant,
-    eigenvalues,
-    match_spectra,
-)
-from .polyform import AWParams, ComplexScalar, DecimalComplex
-from .qkernel import qpochhammer
-from .report import (
-    VerificationReport,
-    as_rational,
-    rational_spectrum,
-    rel_residual,
-    resolve_tolerances,
-)
-
-_FLOOR = Decimal(float(np.finfo(float).tiny))
-
-#: Parameter scalings (t*a, b/t, c, d) used by the isospectrality sweep.
-ISOSPECTRAL_T_VALUES = (0.5, 2.0, 1.0 + 0.3j)
+from .errors import guard as _guard
+from .numlin import SpectralMatrix, ZeroSet
+from .polyform import _FLOOR, AWParams, ComplexScalar, DecimalComplex
+from .report import spectrum_closed_form
 
 
 def eval_A(p: AWParams, z: ComplexScalar) -> ComplexScalar:
@@ -186,19 +167,8 @@ def build_matrix_M(p: AWParams, zs: ZeroSet) -> SpectralMatrix:
     half_minus = _matrix_half(p.q, w_flip, se.G_minus, se.Gp_minus, se.K_minus)
     scale = (p.q - 1.0) / (2.0 * p.q**p.N)
     entries = scale * (half_plus + half_minus)
-    return SpectralMatrix(entries=entries, predicted=predicted_mu(p), label="M")
-
-
-def predicted_mu(p: AWParams) -> np.ndarray:
-    """mu_n = q^(-N) (1 - q^n) (1 - abcd q^(2N-1-n)), n = 1..N."""
-    q = p.q
-    qinv_n = q ** -p.N
-    return np.array(
-        [
-            qinv_n * (1.0 - q**n) * (1.0 - p.abcd * q ** (2 * p.N - 1 - n))
-            for n in range(1, p.N + 1)
-        ]
-    )
+    predicted = np.array(spectrum_closed_form(p.q, p.product, p.shift, p.N))
+    return SpectralMatrix(entries=entries, predicted=predicted, label="M")
 
 
 def prop21_residuals(p: AWParams, zs: ZeroSet) -> np.ndarray:
@@ -266,79 +236,3 @@ def trace_closed_form(p: AWParams) -> ComplexScalar:
     q = p.q
     pw = p.abcd * q ** (p.N - 1)
     return p.N * (q**-p.N + pw) + (1.0 - q**-p.N) / (1.0 - q) * (q + pw)
-
-
-def det_closed_form(p: AWParams) -> ComplexScalar:
-    """det M = q^(-N^2) (q;q)_N (abcd q^(N-1);q)_N."""
-    q = p.q
-    return (
-        q ** -(p.N * p.N)
-        * qpochhammer(q, q, p.N)
-        * qpochhammer(p.abcd * q ** (p.N - 1), q, p.N)
-    )
-
-
-def verify_corollaries(
-    p: AWParams,
-    m: SpectralMatrix,
-    tolerances: Optional[dict] = None,
-    t_values: Sequence[complex] = ISOSPECTRAL_T_VALUES,
-) -> VerificationReport:
-    """Trace and determinant identities, rationality, isospectrality.
-
-    Check failures are recorded in the report, never raised.
-    """
-    tols = resolve_tolerances(tolerances)
-    report = VerificationReport(family="aw", params=p)
-    mu = m.predicted
-    mat = m.entries
-
-    power = np.eye(len(mat), dtype=complex)
-    for k in (1, 2, 3):
-        power = power @ mat
-        target = complex(np.sum(mu**k))
-        report.add(
-            f"cor2.2.3-trace-k{k}",
-            rel_residual(complex(np.trace(power)) - target, target),
-            tols["spectrum_match"],
-            ["cor2.2.3"],
-        )
-    closed = trace_closed_form(p)
-    report.add(
-        "cor2.2.3-trace-closed-form",
-        rel_residual(complex(np.trace(mat)) - closed, closed),
-        tols["spectrum_match"],
-        ["cor2.2.3"],
-    )
-    det_target = det_closed_form(p)
-    report.add(
-        "cor2.2.3-det",
-        rel_residual(determinant(mat) - det_target, det_target),
-        tols["spectrum_match"],
-        ["cor2.2.3"],
-    )
-
-    qfrac = as_rational(p.q)
-    prodfrac = as_rational(p.abcd)
-    if qfrac is not None and prodfrac is not None:
-        exact = rational_spectrum(qfrac, prodfrac, p.N, shift=-1)
-        match = match_spectra(eigenvalues(mat), np.array([float(f) for f in exact], dtype=complex))
-        report.add(
-            "cor2.2.1-diophantine", match.max_abs_gap, tols["diophantine"], ["cor2.2.1"]
-        )
-
-    base_spectrum = eigenvalues(mat)
-    worst = None
-    for t in t_values:
-        try:
-            swept = replace(p, a=t * p.a, b=p.b / t)
-            m_swept = build_matrix_M(swept, compute_zero_set(swept, polish=False))
-        except (QZerosError, ValueError):
-            # this scaling lands outside the admissible parameter set;
-            # isospectrality is only claimed within it
-            continue
-        gap = match_spectra(eigenvalues(m_swept.entries), base_spectrum).max_rel_gap
-        worst = gap if worst is None else max(worst, gap)
-    if worst is not None:
-        report.add("cor2.2.2-isospectral", worst, tols["spectrum_match"], ["cor2.2.2"])
-    return report

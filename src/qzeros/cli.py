@@ -10,10 +10,7 @@ numerical degeneracy or I/O failure, 4 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
-import json
 import math
 import sys
 import time
@@ -23,11 +20,25 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import QZerosError, SingularTrajectory
-from .numlin import ZeroSet, compute_zero_set, determinant, eigenvalues, match_spectra
+from .numlin import compute_zero_set, determinant, eigenvalues, match_spectra
 from .polyform import AWParams, RacahParams
-from .report import VerificationReport, emit_report, rel_residual, resolve_tolerances
-from .sweeps import SplitMix64, draw_aw_params, draw_racah_params, unit_direction
-from . import awspec, racahspec, zeroflow
+from .report import (
+    VerificationReport,
+    _c,
+    as_rational,
+    det_closed_form,
+    emit_report,
+    envelope,
+    rel_residual,
+    render_csv,
+    render_json,
+    resolve_tolerances,
+    spectrum_closed_form,
+    write_output,
+)
+from .sweeps import SplitMix64, unit_direction
+from .zeroflow import FAMILIES
+from . import zeroflow
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -37,6 +48,9 @@ EXIT_USAGE = 4
 FLOW_DEFAULT_T_END = 0.05
 FLOW_DEFAULT_EPSILON = 1e-6
 SWEEP_DEFAULT_COUNT = 5
+
+#: Parameter scalings (t*a, b/t) resp. (t*alpha, beta/t) of the isospectrality check.
+ISOSPECTRAL_T_VALUES = (0.5, 2.0, 1.0 + 0.3j)
 
 
 @dataclass
@@ -86,15 +100,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--family", choices=("aw", "racah"), required=True)
-    common.add_argument("-a", type=parse_complex, help="Askey-Wilson parameter a")
-    common.add_argument("-b", type=parse_complex, help="Askey-Wilson parameter b")
-    common.add_argument("-c", type=parse_complex, help="Askey-Wilson parameter c")
-    common.add_argument("-d", type=parse_complex, help="Askey-Wilson parameter d")
-    common.add_argument("--alpha", type=parse_complex, help="q-Racah parameter alpha")
-    common.add_argument("--beta", type=parse_complex, help="q-Racah parameter beta")
-    common.add_argument("--gamma", type=parse_complex, help="q-Racah parameter gamma")
-    common.add_argument("--delta", type=parse_complex, help="q-Racah parameter delta")
+    common.add_argument("--family", choices=tuple(FAMILIES), required=True)
+    for family in FAMILIES.values():
+        for name, flag in family.flags.items():
+            common.add_argument(flag, type=parse_complex, help=f"{family.title} parameter {name}")
     common.add_argument("-q", dest="q", type=parse_complex, required=True, help="base q")
     common.add_argument("-N", dest="N", type=int, required=True, help="polynomial degree")
     common.add_argument("--seed", type=int, default=0)
@@ -154,27 +163,13 @@ def _config_from_args(parser: _Parser, args: argparse.Namespace) -> RunConfig:
 
     params: Union[AWParams, RacahParams, None] = None
     if args.command != "sweep":
-        if args.family == "aw":
-            missing = [f for f in "abcd" if getattr(args, f) is None]
-            if missing:
-                parser.error(f"family aw requires -{' -'.join(missing)}")
-            ctor = lambda: AWParams(a=args.a, b=args.b, c=args.c, d=args.d, q=args.q, N=args.N)
-        else:
-            missing = [
-                f for f in ("alpha", "beta", "gamma", "delta") if getattr(args, f) is None
-            ]
-            if missing:
-                parser.error(f"family racah requires --{' --'.join(missing)}")
-            ctor = lambda: RacahParams(
-                alpha=args.alpha,
-                beta=args.beta,
-                gamma=args.gamma,
-                delta=args.delta,
-                q=args.q,
-                N=args.N,
-            )
+        family = FAMILIES[args.family]
+        missing = [flag for name, flag in family.flags.items() if getattr(args, name) is None]
+        if missing:
+            parser.error(f"family {family.name} requires {' '.join(missing)}")
+        values = {name: getattr(args, name) for name in family.flags}
         try:
-            params = ctor()
+            params = family.params_type(**values, q=args.q, N=args.N)
         except (QZerosError, ValueError) as exc:
             parser.error(f"inadmissible parameters: {exc}")
 
@@ -195,64 +190,16 @@ def _config_from_args(parser: _Parser, args: argparse.Namespace) -> RunConfig:
     )
 
 
-# --- payload rendering -----------------------------------------------------
-
-
-def _c(value: complex) -> dict:
-    value = complex(value)
-    return {"re": value.real, "im": value.imag}
-
-
-def _params_payload(params: Union[AWParams, RacahParams]) -> dict:
-    if isinstance(params, AWParams):
-        return {"a": _c(params.a), "b": _c(params.b), "c": _c(params.c), "d": _c(params.d), "q": _c(params.q)}
-    return {
-        "alpha": _c(params.alpha),
-        "beta": _c(params.beta),
-        "gamma": _c(params.gamma),
-        "delta": _c(params.delta),
-        "q": _c(params.q),
-    }
-
-
-def _envelope(config: RunConfig, body: dict) -> dict:
-    out = {
-        "family": config.family,
-        "params": _params_payload(config.params) if config.params is not None else {},
-        "N": config.params.N if config.params is not None else None,
-    }
-    out.update(body)
-    out.update({"seed": config.seed, "elapsed_ms": 0})
-    return out
-
-
-def _emit_json(payload: dict, path: Optional[str]) -> str:
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
-
-
-def _emit_csv(rows: list[list], header: list[str], path: Optional[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    text = buf.getvalue()
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
-
-
 # --- commands ---------------------------------------------------------------
 
 
-def _build_matrix(config: RunConfig, zs: ZeroSet):
-    if config.family == "aw":
-        return awspec.build_matrix_M(config.params, zs)
-    return racahspec.build_matrix_L(config.params, zs)
+def _emit_json(config: RunConfig, body: dict) -> str:
+    payload = envelope(config.family, config.params, body, config.seed)
+    return write_output(render_json(payload), config.output_path)
+
+
+def _emit_csv(config: RunConfig, header: list, rows: list) -> str:
+    return write_output(render_csv(header, rows), config.output_path)
 
 
 def _cmd_zeros(config: RunConfig) -> tuple[str, int]:
@@ -264,7 +211,7 @@ def _cmd_zeros(config: RunConfig) -> tuple[str, int]:
             "residuals": list(map(float, zs.residuals)),
             "min_separation": zs.min_separation if math.isfinite(zs.min_separation) else None,
         }
-        text = _emit_json(_envelope(config, body), config.output_path)
+        text = _emit_json(config, body)
     else:
         rows = []
         for i, z in enumerate(zs.zbar):
@@ -279,34 +226,34 @@ def _cmd_zeros(config: RunConfig) -> tuple[str, int]:
                     repr(float(zs.residuals[i])),
                 ]
             )
-        text = _emit_csv(rows, ["index", "re_z", "im_z", "re_x", "im_x", "residual"], config.output_path)
+        text = _emit_csv(config, ["index", "re_z", "im_z", "re_x", "im_x", "residual"], rows)
     return text, EXIT_OK
 
 
 def _cmd_matrix(config: RunConfig) -> tuple[str, int]:
     zs = compute_zero_set(config.params)
-    mat = _build_matrix(config, zs)
+    mat = FAMILIES[config.family].build_matrix(config.params, zs)
     if config.output_format == "json":
         body = {
             "label": mat.label,
             "entries": [[_c(v) for v in row] for row in mat.entries],
             "predicted": [_c(v) for v in mat.predicted],
         }
-        text = _emit_json(_envelope(config, body), config.output_path)
+        text = _emit_json(config, body)
     else:
         rows = [
             [i, j, repr(float(mat.entries[i, j].real)), repr(float(mat.entries[i, j].imag))]
             for i in range(mat.size)
             for j in range(mat.size)
         ]
-        text = _emit_csv(rows, ["row", "col", "re", "im"], config.output_path)
+        text = _emit_csv(config, ["row", "col", "re", "im"], rows)
     return text, EXIT_OK
 
 
 def _cmd_spectrum(config: RunConfig) -> tuple[str, int]:
     tols = resolve_tolerances(config.tolerance_overrides)
     zs = compute_zero_set(config.params)
-    mat = _build_matrix(config, zs)
+    mat = FAMILIES[config.family].build_matrix(config.params, zs)
     computed = eigenvalues(mat.entries)
     match = match_spectra(computed, mat.predicted)
     ok = match.max_rel_gap <= tols["spectrum_match"]
@@ -321,7 +268,7 @@ def _cmd_spectrum(config: RunConfig) -> tuple[str, int]:
             "tolerance": tols["spectrum_match"],
             "pass": ok,
         }
-        text = _emit_json(_envelope(config, body), config.output_path)
+        text = _emit_json(config, body)
     else:
         rows = []
         for i, v in enumerate(computed):
@@ -337,9 +284,9 @@ def _cmd_spectrum(config: RunConfig) -> tuple[str, int]:
                 ]
             )
         text = _emit_csv(
-            rows,
+            config,
             ["index", "re_computed", "im_computed", "re_predicted", "im_predicted", "abs_gap"],
-            config.output_path,
+            rows,
         )
     return text, EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -348,54 +295,72 @@ def run_verify(
     params: Union[AWParams, RacahParams],
     tolerance_overrides: Optional[dict] = None,
     seed: int = 0,
+    sweep: bool = False,
 ) -> VerificationReport:
-    """The full verification suite for one parameter set."""
+    """The verification suite for one parameter set of either family.
+
+    With ``sweep``, only the four checks a sweep reports per set: the zero
+    identities, the spectrum, the trace for k = 1 and the determinant.
+    Check failures are recorded in the report, never raised.
+    """
+    family = FAMILIES[params.family]
     tols = resolve_tolerances(tolerance_overrides)
+    match_tol = tols["spectrum_match"]
     zs = compute_zero_set(params)
-    is_aw = isinstance(params, AWParams)
-    report = VerificationReport(family="aw" if is_aw else "racah", params=params, seed=seed)
+    mat = family.build_matrix(params, zs)
+    entries, predicted = mat.entries, mat.predicted
+    report = VerificationReport(family=family.name, params=params, seed=seed)
+    ident, spec, cor = family.identity_ref, family.spectrum_ref, family.corollary_ref
 
-    if is_aw:
-        mat = awspec.build_matrix_M(params, zs)
-        residuals = awspec.prop21_residuals(params, zs)
-        report.add(
-            "prop2.1-residuals", float(np.max(residuals)), tols["identity_residual"], ["prop2.1"]
-        )
-        spectrum_name, entry_name, entry_ref = "prop2.2-spectrum", "matrix-M-entry", "prop2.2"
-        corollaries = awspec.verify_corollaries(params, mat, tolerance_overrides)
-        jac_ref = "sec3.1"
-        point = zeroflow.FlowState(family="aw", positions=zs.xbar, time=0.0)
-    else:
-        mat = racahspec.build_matrix_L(params, zs)
-        residuals = racahspec.prop23_residuals(params, zs)
-        report.add(
-            "prop2.3-residuals", float(np.max(residuals)), tols["identity_residual"], ["prop2.3"]
-        )
-        spectrum_name, entry_name, entry_ref = "prop2.4-spectrum", "matrix-L-entry", "prop2.4"
-        corollaries = racahspec.verify_corollaries(params, mat, tolerance_overrides)
-        jac_ref = "sec3.2"
-        point = zeroflow.FlowState(family="racah", positions=zs.zbar, time=0.0)
+    residuals = family.residuals(params, zs)
+    report.add(f"{ident}-residuals", float(np.max(residuals)), tols["identity_residual"], [ident])
+    spectrum = eigenvalues(entries)
+    report.add(f"{spec}-spectrum", match_spectra(spectrum, predicted).max_rel_gap, match_tol, [spec])
+    if params.N == 1 and not sweep:
+        delta = complex(entries[0, 0]) - complex(predicted[0])
+        report.add(f"matrix-{mat.label}-entry", rel_residual(delta, predicted[0]), match_tol, [spec])
 
-    match = match_spectra(eigenvalues(mat.entries), mat.predicted)
-    report.add(spectrum_name, match.max_rel_gap, tols["spectrum_match"], [entry_ref])
-    if params.N == 1:
-        report.add(
-            entry_name,
-            rel_residual(complex(mat.entries[0, 0]) - complex(mat.predicted[0]), mat.predicted[0]),
-            tols["spectrum_match"],
-            [entry_ref],
-        )
-    report.extend(corollaries)
+    power = np.eye(len(entries), dtype=complex)
+    for k in (1,) if sweep else (1, 2, 3):
+        power = power @ entries
+        target = complex(np.sum(predicted**k))
+        residual = rel_residual(complex(np.trace(power)) - target, target)
+        report.add(f"{cor}.3-trace-k{k}", residual, match_tol, [f"{cor}.3"])
+    if not sweep:
+        closed = family.trace_closed_form(params)
+        residual = rel_residual(complex(np.trace(entries)) - closed, closed)
+        report.add(f"{cor}.3-trace-closed-form", residual, match_tol, [f"{cor}.3"])
+    det_target = det_closed_form(params)
+    residual = rel_residual(determinant(entries) - det_target, det_target)
+    report.add(f"{cor}.3-det", residual, match_tol, [f"{cor}.3"])
+    if sweep:
+        return report
 
+    qfrac, prodfrac = as_rational(params.q), as_rational(params.product)
+    if qfrac is not None and prodfrac is not None:
+        exact = spectrum_closed_form(qfrac, prodfrac, params.shift, params.N)
+        match = match_spectra(spectrum, np.array([float(f) for f in exact], dtype=complex))
+        report.add(f"{cor}.1-diophantine", match.max_abs_gap, tols["diophantine"], [f"{cor}.1"])
+
+    worst = None
+    for t in ISOSPECTRAL_T_VALUES:
+        try:
+            swept = family.isospectral(params, t)
+            m_swept = family.build_matrix(swept, compute_zero_set(swept, polish=False))
+        except (QZerosError, ValueError):
+            # this scaling lands outside the admissible parameter set;
+            # isospectrality is only claimed within it
+            continue
+        gap = match_spectra(eigenvalues(m_swept.entries), spectrum).max_rel_gap
+        worst = gap if worst is None else max(worst, gap)
+    if worst is not None:
+        report.add(f"{cor}.2-isospectral", worst, match_tol, [f"{cor}.2"])
+
+    point = zeroflow.FlowState(family=family.name, positions=family.position(zs), time=0.0)
     jac = zeroflow.fd_jacobian(zeroflow.velocity_for(params), point)
-    norm_max = float(np.max(np.abs(mat.entries)))
-    denom = np.maximum(np.abs(mat.entries), 1e-3 * norm_max)
-    report.add(
-        "flow-jacobian",
-        float(np.max(np.abs(jac - mat.entries) / denom)),
-        tols["fd_jacobian"],
-        [jac_ref],
-    )
+    denom = np.maximum(np.abs(entries), 1e-3 * float(np.max(np.abs(entries))))
+    residual = float(np.max(np.abs(jac - entries) / denom))
+    report.add("flow-jacobian", residual, tols["fd_jacobian"], [family.flow_ref])
     return report
 
 
@@ -415,7 +380,7 @@ def _cmd_flow(config: RunConfig) -> tuple[str, int]:
     except ValueError as exc:
         print(f"qz: {exc}", file=sys.stderr)
         return "", EXIT_USAGE
-    base = zs.xbar if config.family == "aw" else zs.zbar
+    base = FAMILIES[config.family].position(zs)
     start = zeroflow.FlowState(
         family=config.family, positions=base + config.epsilon * direction, time=0.0
     )
@@ -430,7 +395,7 @@ def _cmd_flow(config: RunConfig) -> tuple[str, int]:
                 for i, s in enumerate(trajectory)
             ]
         }
-        text = _emit_json(_envelope(config, body), config.output_path)
+        text = _emit_json(config, body)
     else:
         header = ["step", "t"]
         for k in range(n):
@@ -441,49 +406,18 @@ def _cmd_flow(config: RunConfig) -> tuple[str, int]:
             for v in s.positions:
                 row += [repr(float(v.real)), repr(float(v.imag))]
             rows.append(row)
-        text = _emit_csv(rows, header, config.output_path)
+        text = _emit_csv(config, header, rows)
     return text, EXIT_OK
 
 
 def _cmd_sweep(config: RunConfig) -> tuple[str, int]:
+    draw = FAMILIES[config.family].draw
     stream = SplitMix64(config.seed)
     report = VerificationReport(family=config.family, params=None, seed=config.seed)
-    tols = resolve_tolerances(config.tolerance_overrides)
     for i in range(config.count):
-        if config.family == "aw":
-            params = draw_aw_params(stream, config.q, config.N)
-            zs = compute_zero_set(params)
-            mat = awspec.build_matrix_M(params, zs)
-            residuals = awspec.prop21_residuals(params, zs)
-            names = ("prop2.1-residuals", "prop2.2-spectrum", "cor2.2.3-trace-k1", "cor2.2.3-det")
-            refs = ("prop2.1", "prop2.2", "cor2.2.3")
-            trace_target = awspec.trace_closed_form(params)
-            det_target = awspec.det_closed_form(params)
-        else:
-            params = draw_racah_params(stream, config.q, config.N)
-            zs = compute_zero_set(params)
-            mat = racahspec.build_matrix_L(params, zs)
-            residuals = racahspec.prop23_residuals(params, zs)
-            names = ("prop2.3-residuals", "prop2.4-spectrum", "cor2.4.3-trace-k1", "cor2.4.3-det")
-            refs = ("prop2.3", "prop2.4", "cor2.4.3")
-            trace_target = racahspec.trace_closed_form(params)
-            det_target = racahspec.det_closed_form(params)
-        prefix = f"set{i:02d}."
-        report.add(prefix + names[0], float(np.max(residuals)), tols["identity_residual"], [refs[0]])
-        match = match_spectra(eigenvalues(mat.entries), mat.predicted)
-        report.add(prefix + names[1], match.max_rel_gap, tols["spectrum_match"], [refs[1]])
-        report.add(
-            prefix + names[2],
-            rel_residual(complex(np.trace(mat.entries)) - trace_target, trace_target),
-            tols["spectrum_match"],
-            [refs[2]],
-        )
-        report.add(
-            prefix + names[3],
-            rel_residual(determinant(mat.entries) - det_target, det_target),
-            tols["spectrum_match"],
-            [refs[2]],
-        )
+        params = draw(stream, config.q, config.N)
+        checks = run_verify(params, config.tolerance_overrides, sweep=True)
+        report.extend(checks, prefix=f"set{i:02d}.")
     text = emit_report(report, config.output_format, config.output_path)
     return text, EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -257,21 +257,15 @@ def compute_zero_set(params: Union[AWParams, RacahParams], polish: bool = True) 
     rec = recurrence_coefficients(params, hp=polish)
     polished, residuals = find_polynomial_zeros(rec)
     zeros = np.array([complex(x) for x in polished])
-    if isinstance(params, AWParams):
-        family = "aw"
-        xbar = zeros
-        zbar = x_to_z(zeros)
-    else:
-        family = "racah"
-        xbar = None
-        zbar = zeros
+    # Askey-Wilson zeros come in x, q-Racah zeros in z
+    xbar, zbar = (zeros, x_to_z(zeros)) if params.family == "aw" else (None, zeros)
     if params.N > 1:
         diffs = np.abs(zbar[:, None] - zbar[None, :])
         min_sep = float((diffs + np.diag(np.full(params.N, np.inf))).min())
     else:
         min_sep = math.inf
     return ZeroSet(
-        family=family,
+        family=params.family,
         params=params,
         zbar=zbar,
         xbar=xbar,

@@ -36,6 +36,7 @@ import contextlib
 import decimal
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,7 +61,14 @@ def _check_poch_column(label: str, c: complex, q: complex, upto: int) -> None:
 
 @dataclass(frozen=True)
 class AWParams:
-    """The four Askey-Wilson parameters, the base q, and the degree N."""
+    """The four Askey-Wilson parameters, the base q, and the degree N.
+
+    ``product`` (abcd) and ``shift`` (-1) place M's spectrum in the common
+    closed form q^(-N) (1 - q^n) (1 - product q^(2N+shift-n)).
+    """
+
+    family: ClassVar[str] = "aw"
+    shift: ClassVar[int] = -1
 
     a: ComplexScalar
     b: ComplexScalar
@@ -89,6 +97,8 @@ class AWParams:
     def abcd(self) -> ComplexScalar:
         return self.a * self.b * self.c * self.d
 
+    product = abcd
+
 
 @dataclass(frozen=True)
 class RacahParams:
@@ -96,8 +106,12 @@ class RacahParams:
 
     No Diophantine restriction is placed on alpha*q, beta*delta*q or
     gamma*q; only the non-vanishing of their q-Pochhammer columns up to
-    order N is required.
+    order N is required. ``product`` (alpha*beta) and ``shift`` (+1) place
+    L's spectrum in the closed form shared with AWParams.
     """
+
+    family: ClassVar[str] = "racah"
+    shift: ClassVar[int] = 1
 
     alpha: ComplexScalar
     beta: ComplexScalar
@@ -124,6 +138,8 @@ class RacahParams:
     @property
     def alphabeta(self) -> ComplexScalar:
         return self.alpha * self.beta
+
+    product = alphabeta
 
     @property
     def gammadelta(self) -> ComplexScalar:
@@ -228,6 +244,10 @@ def racah_eval(p: RacahParams, z: ComplexScalar) -> tuple[ComplexScalar, Complex
 #: residuals. The tier-1 gate measures that doubling it moves no polished zero
 #: by more than 1e-30 up to N = 24.
 WORKING_DPS = 50
+
+#: Added to the denominator |t1| + |t2| of an identity residual |t1 + t2| / (...),
+#: so that two vanishing terms give 0, not 0/0.
+_FLOOR = Decimal(float(np.finfo(float).tiny))
 
 
 def working_precision(dps: int | None):

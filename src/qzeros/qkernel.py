@@ -11,6 +11,7 @@ behavior trivial.
 
 from __future__ import annotations
 
+import cmath
 from collections.abc import Sequence
 
 from .errors import DegenerateDenominator
@@ -99,7 +100,8 @@ def phi43_terminating(
     absent.
 
     Raises DegenerateDenominator if any (den_j;q)_k or (q;q)_k factor
-    vanishes within the summation range.
+    vanishes within the summation range, or is so small that a term
+    overflows.
     """
     if len(num) != 4 or len(den) != 3:
         raise ValueError("expected 4 numerator and 3 denominator parameters")
@@ -125,5 +127,9 @@ def phi43_terminating(
             raise DegenerateDenominator(f"(q;q)_k factor vanished at k={k + 1}")
         ratio /= fq
         term *= ratio
+        if not cmath.isfinite(term):
+            raise DegenerateDenominator(
+                f"(den;q)_k factors underflow at k={k + 1}: the term overflows to {term}"
+            )
         total += term
     return total

@@ -14,41 +14,23 @@ swaps (z^(+), B) with (z^(-), D), which is why every derived quantity is
 branch independent. The N x N matrix L built from the zeros z_1..z_N has
 the closed-form spectrum
 
-    lambda_n = q^(-N) (1 - q^n) (1 - alpha*beta q^(2N-n+1)),   n = 1..N.
+    lambda_n = q^(-N) (1 - q^n) (1 - alpha*beta q^(2N-n+1)),   n = 1..N
+
+(report.spectrum_closed_form, shared with Askey-Wilson).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from decimal import Decimal
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GUARD_EPS, BranchDegenerate, QZerosError, first_failure, guard as _guard
-from .numlin import (
-    SpectralMatrix,
-    ZeroSet,
-    compute_zero_set,
-    determinant,
-    eigenvalues,
-    match_spectra,
-)
-from .polyform import ComplexScalar, DecimalComplex, RacahParams
-from .qkernel import qpochhammer
-from .report import (
-    VerificationReport,
-    as_rational,
-    rational_spectrum,
-    rel_residual,
-    resolve_tolerances,
-)
-
-_FLOOR = Decimal(float(np.finfo(float).tiny))
-
-#: Parameter scalings (t*alpha, beta/t) used by the isospectrality sweep.
-ISOSPECTRAL_T_VALUES = (0.5, 2.0, 1.0 + 0.3j)
+from .errors import GUARD_EPS, BranchDegenerate, first_failure, guard as _guard
+from .numlin import SpectralMatrix, ZeroSet
+from .polyform import _FLOOR, ComplexScalar, DecimalComplex, RacahParams
+from .report import spectrum_closed_form
 
 
 def shift_targets(
@@ -231,19 +213,8 @@ def build_matrix_L(p: RacahParams, zs: ZeroSet, branch: int = +1) -> SpectralMat
         se.Dp * dz_minus + se.Dval * (se.Cminus - 1.0 + dz_minus * se.Wminus.sum(axis=1))
     ) * ratio_minus
     np.fill_diagonal(entries, diag)
-    return SpectralMatrix(entries=entries, predicted=predicted_lambda(p), label="L")
-
-
-def predicted_lambda(p: RacahParams) -> np.ndarray:
-    """lambda_n = q^(-N) (1 - q^n) (1 - alpha*beta q^(2N-n+1)), n = 1..N."""
-    q = p.q
-    qinv_n = q ** -p.N
-    return np.array(
-        [
-            qinv_n * (1.0 - q**n) * (1.0 - p.alphabeta * q ** (2 * p.N - n + 1))
-            for n in range(1, p.N + 1)
-        ]
-    )
+    predicted = np.array(spectrum_closed_form(p.q, p.product, p.shift, p.N))
+    return SpectralMatrix(entries=entries, predicted=predicted, label="L")
 
 
 def prop23_residuals(p: RacahParams, zs: ZeroSet, branch: int = +1) -> np.ndarray:
@@ -317,76 +288,3 @@ def trace_closed_form(p: RacahParams) -> ComplexScalar:
     return p.N * (q**-p.N + ab * q ** (p.N + 1)) + q * (1.0 - q**-p.N) * (
         1.0 + ab * q**p.N
     ) / (1.0 - q)
-
-
-def det_closed_form(p: RacahParams) -> ComplexScalar:
-    """det L = q^(-N^2) (q;q)_N (alpha*beta q^(N+1);q)_N."""
-    q = p.q
-    return (
-        q ** -(p.N * p.N)
-        * qpochhammer(q, q, p.N)
-        * qpochhammer(p.alphabeta * q ** (p.N + 1), q, p.N)
-    )
-
-
-def verify_corollaries(
-    p: RacahParams,
-    l: SpectralMatrix,
-    tolerances: Optional[dict] = None,
-    t_values: Sequence[complex] = ISOSPECTRAL_T_VALUES,
-) -> VerificationReport:
-    """Trace and determinant identities, rationality, isospectrality."""
-    tols = resolve_tolerances(tolerances)
-    report = VerificationReport(family="racah", params=p)
-    lam = l.predicted
-    mat = l.entries
-
-    power = np.eye(len(mat), dtype=complex)
-    for k in (1, 2, 3):
-        power = power @ mat
-        target = complex(np.sum(lam**k))
-        report.add(
-            f"cor2.4.3-trace-k{k}",
-            rel_residual(complex(np.trace(power)) - target, target),
-            tols["spectrum_match"],
-            ["cor2.4.3"],
-        )
-    closed = trace_closed_form(p)
-    report.add(
-        "cor2.4.3-trace-closed-form",
-        rel_residual(complex(np.trace(mat)) - closed, closed),
-        tols["spectrum_match"],
-        ["cor2.4.3"],
-    )
-    det_target = det_closed_form(p)
-    report.add(
-        "cor2.4.3-det",
-        rel_residual(determinant(mat) - det_target, det_target),
-        tols["spectrum_match"],
-        ["cor2.4.3"],
-    )
-
-    qfrac = as_rational(p.q)
-    prodfrac = as_rational(p.alphabeta)
-    if qfrac is not None and prodfrac is not None:
-        exact = rational_spectrum(qfrac, prodfrac, p.N, shift=+1)
-        match = match_spectra(eigenvalues(mat), np.array([float(f) for f in exact], dtype=complex))
-        report.add(
-            "cor2.4.1-diophantine", match.max_abs_gap, tols["diophantine"], ["cor2.4.1"]
-        )
-
-    base_spectrum = eigenvalues(mat)
-    worst = None
-    for t in t_values:
-        try:
-            swept = replace(p, alpha=t * p.alpha, beta=p.beta / t)
-            l_swept = build_matrix_L(swept, compute_zero_set(swept, polish=False))
-        except (QZerosError, ValueError):
-            # this scaling lands outside the admissible parameter set;
-            # isospectrality is only claimed within it
-            continue
-        gap = match_spectra(eigenvalues(l_swept.entries), base_spectrum).max_rel_gap
-        worst = gap if worst is None else max(worst, gap)
-    if worst is not None:
-        report.add("cor2.4.2-isospectral", worst, tols["spectrum_match"], ["cor2.4.2"])
-    return report

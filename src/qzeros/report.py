@@ -1,4 +1,8 @@
-"""Verification reports: named checks, tolerances, JSON/CSV emission.
+"""Verification reports: named checks, tolerances, closed forms, JSON/CSV emission.
+
+The closed-form spectrum and determinant that the checks hold M and L to
+are written once for both families, in terms of the product and shift
+that each params type carries.
 
 A report is a flat list of checks, each carrying a nonnegative residual,
 the tolerance it was held to, a verdict, and the anchor names of the
@@ -10,16 +14,18 @@ ever printed to the diagnostic stream.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .polyform import AWParams, RacahParams
+from .qkernel import ComplexScalar, qpochhammer
 
 PACKAGE_VERSION = "0.1.0"
 
@@ -46,7 +52,6 @@ class VerificationReport:
     params: Union[AWParams, RacahParams, None]
     checks: list[Check] = field(default_factory=list)
     seed: int = 0
-    elapsed_ms: int = 0
 
     @property
     def passed(self) -> bool:
@@ -93,8 +98,20 @@ def tolerance_scale(env: Optional[dict] = None) -> float:
 
 
 def rel_residual(delta: complex, target: complex) -> float:
-    """|delta| normalized by max(1, |target|)."""
-    return abs(delta) / max(1.0, abs(target))
+    """|delta| normalized by max(1, |target|).
+
+    inf where a modulus is not representable, NaN where a part is NaN: either
+    fails its check.
+    """
+    try:
+        return abs(delta) / max(1.0, abs(target))
+    except OverflowError:
+        # finite parts whose modulus exceeds the largest double; but abs() of a
+        # complex with a NaN part raises too when an earlier overflow left errno
+        # set, and that residual is NaN, whatever ran before
+        if cmath.isnan(delta) or cmath.isnan(target):
+            return math.nan
+        return math.inf
 
 
 def as_rational(x: complex, max_denominator: int = 10**6) -> Optional[Fraction]:
@@ -108,17 +125,26 @@ def as_rational(x: complex, max_denominator: int = 10**6) -> Optional[Fraction]:
     return None
 
 
-def rational_spectrum(qfrac: Fraction, prodfrac: Fraction, N: int, shift: int) -> list[Fraction]:
-    """Exact eigenvalues q^(-N) (1-q^n) (1-prod*q^(2N+shift-n)) for n = 1..N.
+def spectrum_closed_form(q, product, shift: int, N: int) -> list:
+    """The eigenvalues q^(-N) (1-q^n) (1-product*q^(2N+shift-n)) for n = 1..N.
 
-    shift = -1 reproduces the Askey-Wilson spectrum (product abcd),
-    shift = +1 the q-Racah spectrum (product alpha*beta).
+    shift = -1 with product abcd is the spectrum of M, shift = +1 with
+    product alpha*beta that of L (the params types carry both). Exact on
+    Fractions.
     """
-    out = []
-    qinvN = Fraction(1, 1) / qfrac**N
-    for n in range(1, N + 1):
-        out.append(qinvN * (1 - qfrac**n) * (1 - prodfrac * qfrac ** (2 * N + shift - n)))
-    return out
+    return [
+        q**-N * (1 - q**n) * (1 - product * q ** (2 * N + shift - n)) for n in range(1, N + 1)
+    ]
+
+
+def det_closed_form(p: Union[AWParams, RacahParams]) -> ComplexScalar:
+    """det M resp. det L = q^(-N^2) (q;q)_N (product q^(N+shift);q)_N."""
+    q = p.q
+    return (
+        q ** -(p.N * p.N)
+        * qpochhammer(q, q, p.N)
+        * qpochhammer(p.product * q ** (p.N + p.shift), q, p.N)
+    )
 
 
 # --- serialization ---------------------------------------------------------
@@ -129,64 +155,77 @@ def _c(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
-def _params_dict(params: Union[AWParams, RacahParams, None]) -> dict:
-    if params is None:
-        return {}
-    if isinstance(params, AWParams):
-        return {
-            "a": _c(params.a),
-            "b": _c(params.b),
-            "c": _c(params.c),
-            "d": _c(params.d),
-            "q": _c(params.q),
-        }
-    return {
-        "alpha": _c(params.alpha),
-        "beta": _c(params.beta),
-        "gamma": _c(params.gamma),
-        "delta": _c(params.delta),
-        "q": _c(params.q),
+def envelope(
+    family: str, params: Union[AWParams, RacahParams, None], body: dict, seed: int
+) -> dict:
+    """The artifact fields shared by every command, around a command's own body.
+
+    The parameters serialize in declaration order, without N; elapsed_ms is
+    pinned to 0 so that artifacts are byte-stable.
+    """
+    out = {
+        "family": family,
+        "params": {} if params is None else {
+            f.name: _c(getattr(params, f.name)) for f in fields(params) if f.name != "N"
+        },
+        "N": params.N if params is not None else None,
     }
+    out.update(body)
+    out.update({"seed": seed, "elapsed_ms": 0})
+    return out
 
 
 def report_to_dict(report: VerificationReport) -> dict:
-    return {
-        "family": report.family,
-        "params": _params_dict(report.params),
-        "N": report.params.N if report.params is not None else None,
-        "checks": [
-            {
-                "name": c.name,
-                "residual": _finite_or_none(c.residual),
-                "tolerance": c.tolerance,
-                "pass": c.passed,
-                "refs": c.refs,
-            }
-            for c in report.checks
-        ],
-        "pass": report.passed,
-        "seed": report.seed,
-        "elapsed_ms": report.elapsed_ms,
-    }
+    checks = [
+        {
+            "name": c.name,
+            "residual": _finite_or_none(c.residual),
+            "tolerance": c.tolerance,
+            "pass": c.passed,
+            "refs": c.refs,
+        }
+        for c in report.checks
+    ]
+    body = {"checks": checks, "pass": report.passed}
+    return envelope(report.family, report.params, body, report.seed)
 
 
 def _finite_or_none(x: float):
     return x if math.isfinite(x) else None
 
 
+def render_json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def render_csv(header: list, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_output(text: str, path: Optional[str]) -> str:
+    """Write the rendered text to path, if one is given; returns the text."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return text
+
+
 def render_report_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
+    return render_json(report_to_dict(report))
 
 
 def render_report_csv(report: VerificationReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "residual", "tolerance", "pass", "refs"])
-    for c in report.checks:
-        writer.writerow(
+    return render_csv(
+        ["name", "residual", "tolerance", "pass", "refs"],
+        (
             [c.name, repr(c.residual), repr(c.tolerance), str(c.passed).lower(), ";".join(c.refs)]
-        )
-    return buf.getvalue()
+            for c in report.checks
+        ),
+    )
 
 
 def emit_report(report: VerificationReport, output_format: str, path: Optional[str]) -> str:
@@ -197,7 +236,4 @@ def emit_report(report: VerificationReport, output_format: str, path: Optional[s
         text = render_report_csv(report)
     else:
         raise ValueError(f"unknown output format {output_format!r}")
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+    return write_output(text, path)

@@ -23,11 +23,16 @@ N x N arrays, with the kernels that build M and L: awspec._kernel_matrix
 on the points stacked as (z_n, 1/z_n), and racahspec.point_structure with
 racahspec._pair_differences. A guard names the first failing point, else
 the first failing pair, in row-major order.
+
+This is the top library layer, so the ``Family`` record, which reaches
+into every layer below it, is defined here: ``FAMILIES`` maps each params
+type's ``family`` name to the record that the CLI, the verification suite
+and this module's family-generic functions dispatch through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -43,6 +48,7 @@ from .numlin import SpectralMatrix, ZeroSet
 from .polyform import AWParams, RacahParams, x_to_z
 from . import awspec, racahspec
 from .report import VerificationReport, tolerance_scale
+from .sweeps import draw_aw_params, draw_racah_params
 
 #: Local error target per step, relative to the state magnitude.
 LOCAL_ERROR_TARGET = 1e-10
@@ -119,11 +125,80 @@ def racah_velocity(p: RacahParams, state: FlowState, branch: int = +1) -> np.nda
     return pt.Bval * (pt.z_plus - z) * ratio_plus + pt.Dval * (pt.z_minus - z) * ratio_minus
 
 
+@dataclass(frozen=True)
+class Family:
+    """What the family-generic code needs to know about one polynomial family.
+
+    The params type carries the family name and the spectrum's product P
+    and shift s. Each function field calls a module-level function by name
+    when it runs, so a rebinding of that name (by a profiler, say) reaches
+    every caller.
+    """
+
+    params_type: type
+    title: str
+    draw: Callable  # (SplitMix64, q, N) -> params
+    build_matrix: Callable  # (params, ZeroSet) -> SpectralMatrix
+    residuals: Callable  # (params, ZeroSet) -> zero-identity residual per zero
+    trace_closed_form: Callable  # params -> closed-form trace of the matrix
+    velocity: Callable  # (params, FlowState) -> velocities
+    isospectral: Callable  # (params, t) -> parameters with the same product
+    position: Callable  # ZeroSet -> the zeros in flow coordinates
+    identity_ref: str  # the zero identities
+    spectrum_ref: str  # the closed-form spectrum and the matrix entries
+    corollary_ref: str  # + ".1" rationality, ".2" isospectrality, ".3" trace/det
+    flow_ref: str  # the flow and its Jacobian
+
+    @property
+    def name(self) -> str:
+        return self.params_type.family
+
+    @property
+    def flags(self) -> dict:
+        """CLI flag of each parameter but q and N: -a for one letter, --alpha otherwise."""
+        names = [f.name for f in fields(self.params_type) if f.name not in ("q", "N")]
+        return {name: ("-" if len(name) == 1 else "--") + name for name in names}
+
+
+AW = Family(
+    params_type=AWParams,
+    title="Askey-Wilson",
+    draw=lambda stream, q, n: draw_aw_params(stream, q, n),
+    build_matrix=lambda p, zs: awspec.build_matrix_M(p, zs),
+    residuals=lambda p, zs: awspec.prop21_residuals(p, zs),
+    trace_closed_form=lambda p: awspec.trace_closed_form(p),
+    velocity=lambda p, state: aw_velocity(p, state),
+    isospectral=lambda p, t: replace(p, a=t * p.a, b=p.b / t),
+    position=lambda zs: zs.xbar,
+    identity_ref="prop2.1",
+    spectrum_ref="prop2.2",
+    corollary_ref="cor2.2",
+    flow_ref="sec3.1",
+)
+
+RACAH = Family(
+    params_type=RacahParams,
+    title="q-Racah",
+    draw=lambda stream, q, n: draw_racah_params(stream, q, n),
+    build_matrix=lambda p, zs: racahspec.build_matrix_L(p, zs),
+    residuals=lambda p, zs: racahspec.prop23_residuals(p, zs),
+    trace_closed_form=lambda p: racahspec.trace_closed_form(p),
+    velocity=lambda p, state: racah_velocity(p, state),
+    isospectral=lambda p, t: replace(p, alpha=t * p.alpha, beta=p.beta / t),
+    position=lambda zs: zs.zbar,
+    identity_ref="prop2.3",
+    spectrum_ref="prop2.4",
+    corollary_ref="cor2.4",
+    flow_ref="sec3.2",
+)
+
+FAMILIES = {family.name: family for family in (AW, RACAH)}
+
+
 def velocity_for(params: Union[AWParams, RacahParams]) -> VelocityFn:
     """The family flow bound to a parameter set."""
-    if isinstance(params, AWParams):
-        return lambda state: aw_velocity(params, state)
-    return lambda state: racah_velocity(params, state)
+    velocity = FAMILIES[params.family].velocity
+    return lambda state: velocity(params, state)
 
 
 def _rk4_step(rhs: VelocityFn, state: FlowState, h: float) -> np.ndarray:
@@ -219,8 +294,8 @@ def linearization_check(
     the reported check holds it to LINEARIZATION_TOL, scaled along with the
     named tolerances by QZ_TOL_SCALE.
     """
-    base = zs.xbar if zs.family == "aw" else zs.zbar
-    base = np.asarray(base, dtype=complex)
+    family = FAMILIES[params.family]
+    base = np.asarray(family.position(zs), dtype=complex)
     n = len(base)
     if direction is None:
         direction = np.ones(n, dtype=complex) / np.sqrt(n)
@@ -235,15 +310,15 @@ def linearization_check(
     from scipy.linalg import expm  # imported here: qz flow never needs it
 
     rhs = velocity_for(params)
-    start = FlowState(family=zs.family, positions=base + epsilon * direction, time=0.0)
+    start = FlowState(family=family.name, positions=base + epsilon * direction, time=0.0)
     trajectory = integrate_flow(rhs, start, t_end=t_short, dt_max=t_short / 8.0)
     actual = trajectory[-1].positions - base
     predicted = epsilon * (expm(mat.entries * t_short) @ direction)
     denom = max(float(np.max(np.abs(predicted))), _tiny())
     deviation = float(np.max(np.abs(actual - predicted))) / denom
-    report = VerificationReport(family=zs.family, params=params)
-    anchor = "sec3.1" if zs.family == "aw" else "sec3.2"
-    report.add("flow-linearization", deviation, LINEARIZATION_TOL * tolerance_scale(), [anchor])
+    report = VerificationReport(family=family.name, params=params)
+    tol = LINEARIZATION_TOL * tolerance_scale()
+    report.add("flow-linearization", deviation, tol, [family.flow_ref])
     return report
 
 

@@ -17,7 +17,7 @@ import pytest
 from qzeros import awspec, racahspec, zeroflow
 from qzeros.numlin import compute_zero_set, determinant, eigenvalues, match_spectra
 from qzeros.polyform import AWParams, RacahParams, aw_rational_eval, racah_eval
-from qzeros.report import rel_residual
+from qzeros.report import det_closed_form, rel_residual
 from qzeros.sweeps import SplitMix64, draw_aw_params, draw_racah_params, unit_direction
 from qzeros.zeroflow import FlowState
 
@@ -128,7 +128,6 @@ def test_criterion_04_trace_and_determinant(aw_instances, racah_instances):
             closed_trace = (
                 awspec.trace_closed_form if family == "aw" else racahspec.trace_closed_form
             )
-            closed_det = awspec.det_closed_form if family == "aw" else racahspec.det_closed_form
             for p, _, mat in instances:
                 power = np.eye(p.N, dtype=complex)
                 for k in (1, 2, 3):
@@ -137,7 +136,7 @@ def test_criterion_04_trace_and_determinant(aw_instances, racah_instances):
                     assert rel_residual(complex(np.trace(power)) - target, target) <= TRACE_DET_TOL
                 target = closed_trace(p)
                 assert rel_residual(complex(np.trace(mat.entries)) - target, target) <= TRACE_DET_TOL
-                target = closed_det(p)
+                target = det_closed_form(p)
                 assert rel_residual(determinant(mat.entries) - target, target) <= TRACE_DET_TOL
 
         # hand-derived N = 2 determinants

@@ -6,8 +6,10 @@ import pytest
 
 from qzeros import awspec
 from qzeros.errors import SingularConfiguration
+from qzeros.cli import run_verify
 from qzeros.numlin import compute_zero_set, determinant, eigenvalues, match_spectra
 from qzeros.polyform import AWParams, aw_rational_eval
+from qzeros.report import det_closed_form, spectrum_closed_form
 from qzeros.sweeps import SplitMix64, draw_aw_params
 
 ANCHOR = AWParams(a=2, b=3, c=4, d=5, q=0.5, N=1)
@@ -88,16 +90,16 @@ class TestMatrixM:
 
 class TestPredictedMu:
     def test_anchor(self):
-        assert awspec.predicted_mu(ANCHOR) == pytest.approx([-119.0])
+        assert spectrum_closed_form(ANCHOR.q, ANCHOR.product, ANCHOR.shift, ANCHOR.N) == pytest.approx([-119.0])
 
     def test_hand_values_degree_two(self):
         p = AWParams(a=2, b=3, c=0.25, d=0.2, q=0.5, N=2)  # abcd = 3/10
-        assert awspec.predicted_mu(p) == pytest.approx([37 / 20, 51 / 20])
+        assert spectrum_closed_form(p.q, p.product, p.shift, p.N) == pytest.approx([37 / 20, 51 / 20])
 
     def test_vanishes_as_q_power_approaches_one(self):
         # the factor (1 - q^n) kills mu_n as q^n -> 1
         p = AWParams(a=0.3, b=0.4, c=0.5, d=0.6, q=-1.0 + 1e-9, N=2)
-        mu = awspec.predicted_mu(p)
+        mu = spectrum_closed_form(p.q, p.product, p.shift, p.N)
         assert abs(mu[1]) <= 1e-6
 
 
@@ -151,12 +153,11 @@ class TestCorollaries:
         zs = compute_zero_set(p)
         m = awspec.build_matrix_M(p, zs)
         assert determinant(m.entries) == pytest.approx(1887 / 400, rel=1e-8)
-        assert awspec.det_closed_form(p) == pytest.approx(1887 / 400)
+        assert det_closed_form(p) == pytest.approx(1887 / 400)
 
     def test_report_all_pass(self):
         p, zs = random_instance(4, 0.5, 3)
-        m = awspec.build_matrix_M(p, zs)
-        report = awspec.verify_corollaries(p, m)
+        report = run_verify(p)
         assert report.passed
         names = {c.name for c in report.checks}
         assert {"cor2.2.3-trace-k1", "cor2.2.3-det", "cor2.2.2-isospectral"} <= names
@@ -183,14 +184,12 @@ class TestCorollaries:
 
     def test_diophantine_check_in_report(self):
         p = AWParams(a=2, b=3, c=0.25, d=0.2, q=0.5, N=3)
-        m = awspec.build_matrix_M(p, compute_zero_set(p))
-        report = awspec.verify_corollaries(p, m)
+        report = run_verify(p)
         assert any(c.name == "cor2.2.1-diophantine" and c.passed for c in report.checks)
 
     def test_diophantine_skipped_for_irrational(self):
         p, zs = random_instance(4, 0.5, 3)  # random complex parameters
-        m = awspec.build_matrix_M(p, zs)
-        report = awspec.verify_corollaries(p, m)
+        report = run_verify(p)
         assert not any(c.name == "cor2.2.1-diophantine" for c in report.checks)
 
 

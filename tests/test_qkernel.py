@@ -119,6 +119,12 @@ class TestPhi43:
         with pytest.raises(DegenerateDenominator):
             phi43_terminating((q**-2, 2.0, 2.0, 2.0), (1 / q, 3.0, 3.0), q, q, 2)
 
+    def test_underflowing_denominator(self):
+        # 1 - b q^0 = -1e-307j is not 0, but the term it divides overflows
+        den = (0j, 0j, 1 + 1.0518684202520213e-307j)
+        with pytest.raises(DegenerateDenominator):
+            phi43_terminating((0.45**-3, 0j, 0j, 0j), den, 0.45, 0.45, 3)
+
     @given(data=st.data())
     @settings(max_examples=40)
     def test_parameter_permutation_invariance(self, data):

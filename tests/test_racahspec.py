@@ -6,8 +6,10 @@ import pytest
 
 from qzeros import racahspec
 from qzeros.errors import BranchDegenerate
+from qzeros.cli import run_verify
 from qzeros.numlin import compute_zero_set, determinant, eigenvalues, match_spectra
 from qzeros.polyform import RacahParams, racah_eval
+from qzeros.report import det_closed_form, spectrum_closed_form
 from qzeros.sweeps import SplitMix64, draw_racah_params
 
 ANCHOR = RacahParams(alpha=3, beta=2, gamma=4, delta=5, q=0.5, N=1)
@@ -105,15 +107,15 @@ class TestMatrixL:
 
 class TestPredictedLambda:
     def test_anchor(self):
-        assert racahspec.predicted_lambda(ANCHOR) == pytest.approx([-0.5])
+        assert spectrum_closed_form(ANCHOR.q, ANCHOR.product, ANCHOR.shift, ANCHOR.N) == pytest.approx([-0.5])
 
     def test_hand_values_degree_two(self):
         p = RacahParams(alpha=3, beta=2, gamma=0.25, delta=5, q=0.5, N=2)  # alpha*beta = 6
-        assert racahspec.predicted_lambda(p) == pytest.approx([5 / 4, 3 / 4])
+        assert spectrum_closed_form(p.q, p.product, p.shift, p.N) == pytest.approx([5 / 4, 3 / 4])
 
     def test_vanishes_as_q_power_approaches_one(self):
         p = RacahParams(alpha=0.3, beta=0.4, gamma=0.5, delta=0.6, q=-1.0 + 1e-9, N=2)
-        lam = racahspec.predicted_lambda(p)
+        lam = spectrum_closed_form(p.q, p.product, p.shift, p.N)
         assert abs(lam[1]) <= 1e-6
 
 
@@ -164,19 +166,18 @@ class TestCorollaries:
         assert np.trace(l.entries) == pytest.approx(-0.5, abs=1e-12)
         assert determinant(l.entries) == pytest.approx(-0.5, abs=1e-12)
         assert racahspec.trace_closed_form(ANCHOR) == pytest.approx(-0.5)
-        assert racahspec.det_closed_form(ANCHOR) == pytest.approx(-0.5)
+        assert det_closed_form(ANCHOR) == pytest.approx(-0.5)
 
     def test_hand_determinant_degree_two(self):
         p = RacahParams(alpha=3, beta=2, gamma=0.25, delta=5, q=0.5, N=2)
         zs = compute_zero_set(p)
         l = racahspec.build_matrix_L(p, zs)
         assert determinant(l.entries) == pytest.approx(15 / 16, rel=1e-8)
-        assert racahspec.det_closed_form(p) == pytest.approx(15 / 16)
+        assert det_closed_form(p) == pytest.approx(15 / 16)
 
     def test_report_all_pass(self):
         p, zs = random_instance(4, 0.5, 3)
-        l = racahspec.build_matrix_L(p, zs)
-        report = racahspec.verify_corollaries(p, l)
+        report = run_verify(p)
         assert report.passed
         names = {c.name for c in report.checks}
         assert {"cor2.4.3-trace-k1", "cor2.4.3-det", "cor2.4.2-isospectral"} <= names

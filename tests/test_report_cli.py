@@ -321,3 +321,62 @@ def test_flow_zeros_matrix_never_import_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"
+
+
+class TestSweepMatchesVerify:
+    @pytest.mark.parametrize("family", ["aw", "racah"])
+    def test_sweep_rows_are_the_verify_checks(self, family, capsys):
+        # each set's four rows must be byte-identical to the same-named rows of
+        # `verify` on the same drawn parameters
+        from qzeros.cli import run_verify
+        from qzeros.report import render_report_csv
+        from qzeros.sweeps import draw_aw_params
+
+        count = 4
+        code = main(["sweep", "--family", family, "-q", "0.6", "-N", "5", "--count", str(count),
+                     "--format", "csv"])
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert code == 0 and len(rows) == 4 * count
+        draw = draw_aw_params if family == "aw" else draw_racah_params
+        stream = SplitMix64(0)
+        for i in range(count):
+            report = run_verify(draw(stream, parse_complex("0.6"), 5))
+            verify_rows = {r[0]: r[1:] for r in csv.reader(io.StringIO(render_report_csv(report)))}
+            for row in rows[4 * i : 4 * i + 4]:
+                prefix, _, name = row[0].partition(".")
+                assert prefix == f"set{i:02d}"
+                assert row[1:] == verify_rows[name], name
+
+
+class TestUnrepresentableResidual:
+    def test_modulus_overflow_is_inf(self):
+        from qzeros.report import rel_residual
+
+        # a residual that cannot be represented must fail its check, whichever modulus overflows
+        assert rel_residual(complex(1.5e308, 1.5e308), 1.0) == float("inf")
+        assert rel_residual(3.0, complex(1.5e308, 1.5e308)) == float("inf")
+        assert rel_residual(3 + 4j, 2.0) == 2.5
+
+    def test_verify_fails_instead_of_raising(self, capsys):
+        # M overflows at a = 1e100; repeated in one process, every run is the same failed check
+        argv = ["verify", "--family", "aw", "-a", "1e100", "-b", "3", "-c", "4", "-d", "5",
+                "-q", "0.5", "-N", "4"]
+        codes, outs = [], []
+        for fmt in ("csv", "json", "csv"):
+            codes.append(main(argv + ["--format", fmt]))
+            outs.append(capsys.readouterr().out)
+        assert codes == [2, 2, 2]
+        assert outs[0] == outs[2]
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    import pathlib
+    import shlex
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("qz ")]
+    assert len(lines) == 6  # one per subcommand
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
