@@ -5,7 +5,9 @@ For every degree N up to --max-degree and every q on the family grid, one
 parameter set is drawn from the documented splitmix64 stream and the full
 check list (zero identities, closed-form spectrum, trace/determinant,
 isospectrality, finite-difference Jacobian) is evaluated. Prints one line
-per instance and a final tally; exits nonzero if anything failed.
+per instance and a final tally; exits 2 if anything failed. An instance
+that raises a typed numerical failure (QZerosError) counts as failed, and
+the run goes on.
 
 Usage:
     python scripts/run_full_verification.py
@@ -20,18 +22,19 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from qzeros.cli import run_verify
+from qzeros.errors import QZerosError
 from qzeros.sweeps import SplitMix64
 from qzeros.zeroflow import FAMILIES
 
 Q_GRIDS = {"aw": (0.3, 0.6, 0.5 + 0.2j), "racah": (0.3, 0.6)}
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--family", choices=("aw", "racah", "both"), default="both")
     parser.add_argument("--max-degree", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     families = ("aw", "racah") if args.family == "both" else (args.family,)
     failures = 0
@@ -43,8 +46,13 @@ def main() -> int:
         for n in range(1, args.max_degree + 1):
             for q in Q_GRIDS[family]:
                 params = draw(stream, q, n)
-                report = run_verify(params, seed=args.seed)
                 total += 1
+                try:
+                    report = run_verify(params, seed=args.seed)
+                except QZerosError as exc:
+                    failures += 1
+                    print(f"{family:5s} N={n:2d} q={q!s:10s} {type(exc).__name__}: {exc}  FAIL")
+                    continue
                 worst = max((c.residual / c.tolerance for c in report.checks), default=0.0)
                 status = "ok" if report.passed else "FAIL"
                 print(

@@ -17,6 +17,9 @@ M's eigenvalues are predicted in closed form by
 
 which depends on a,b,c,d only through the product abcd
 (report.spectrum_closed_form, shared with q-Racah).
+
+A(z) is written once (_A); prop21_residuals evaluates it at WORKING_DPS
+digits in numlin's ZeroSet.identity_residuals, the loop shared with q-Racah.
 """
 
 from __future__ import annotations
@@ -28,16 +31,21 @@ import numpy as np
 
 from .errors import guard as _guard
 from .numlin import SpectralMatrix, ZeroSet
-from .polyform import _FLOOR, AWParams, ComplexScalar, DecimalComplex
+from .polyform import AWParams, ComplexScalar, DecimalComplex, z_to_x
 from .report import spectrum_closed_form
+
+
+def _A(q, a, b, c, d, z):
+    """A(z) without guards: elementwise, or on DecimalComplex (all arguments, in its context)."""
+    z2 = z * z
+    return (1 - a * z) * (1 - b * z) * (1 - c * z) * (1 - d * z) / ((1 - z2) * (1 - q * z2))
 
 
 def eval_A(p: AWParams, z: ComplexScalar) -> ComplexScalar:
     """A(z) with guards on 1 - z^2 and 1 - q z^2; A(0) = 1. Elementwise."""
     z2 = z * z
     _guard((abs(1.0 - z2), "z^2-1"), (abs(1.0 - p.q * z2), "q*z^2-1"))
-    num = (1.0 - p.a * z) * (1.0 - p.b * z) * (1.0 - p.c * z) * (1.0 - p.d * z)
-    return num / ((1.0 - z2) * (1.0 - p.q * z2))
+    return _A(p.q, p.a, p.b, p.c, p.d, z)
 
 
 def eval_G_pair(p: AWParams, z: ComplexScalar) -> tuple[ComplexScalar, ComplexScalar]:
@@ -100,8 +108,6 @@ class AWStructureEval:
     from _kernel_matrix (the diagonal is unused and holds ones).
     """
 
-    A_plus: np.ndarray
-    A_minus: np.ndarray
     G_plus: np.ndarray
     G_minus: np.ndarray
     Gp_plus: np.ndarray
@@ -111,7 +117,7 @@ class AWStructureEval:
 
 
 def eval_structure(p: AWParams, zs: ZeroSet) -> AWStructureEval:
-    """Evaluate A, G, G' and K at every zero and every reciprocal zero.
+    """Evaluate G, G' and K at every zero and every reciprocal zero.
 
     The point guards run before the pair guards, each over the whole array
     and naming the first failing point or pair in row-major order.
@@ -129,7 +135,7 @@ def eval_structure(p: AWParams, zs: ZeroSet) -> AWStructureEval:
     G, Gp = eval_G_pair(p, zw)
     K = _kernel_matrix(p.q, zw)
     # each array's last axis unpacks into its (at z_n, at 1/z_n) fields
-    return AWStructureEval(*eval_A(p, zw).T, *G.T, *Gp.T, *K.transpose(2, 0, 1))
+    return AWStructureEval(*G.T, *Gp.T, *K.transpose(2, 0, 1))
 
 
 def _matrix_half(
@@ -181,32 +187,22 @@ def prop21_residuals(p: AWParams, zs: ZeroSet) -> np.ndarray:
     The identity sharpens dramatically at small q and larger N (its value
     moves by ~1e8 per unit relative zero displacement at q = 0.3, N = 10),
     to the point that a double-rounded zero cannot satisfy it to 1e-8 at
-    all; where the zero set carries its pre-rounding zeros and they still
-    agree with the stored doubles, the residual is therefore evaluated at
-    the high-precision zeros. A, p_N (through the zero set's recurrence)
-    and the residual run at WORKING_DPS digits on DecimalComplex. A zero
-    set whose ``zbar`` was perturbed or hand-built is measured at its
-    doubles and reports honestly large residuals.
+    all. A, by eval_A's formula, and p_N, through the zero set's
+    recurrence, therefore run at WORKING_DPS digits at the high-precision
+    zeros (``ZeroSet.identity_residuals``); a zero set whose ``zbar`` was
+    perturbed or hand-built is measured at its doubles and reports
+    honestly large residuals.
     """
-    rec = zs.recurrence_for(p)
     eval_A(p, np.asarray(zs.zbar, dtype=complex))  # enforce the guards on the stored zeros
-    out = np.empty(len(zs.zbar))
-    with rec.arithmetic():
+
+    def terms(rec):
         q, a, b, c, d = map(DecimalComplex.of, (p.q, p.a, p.b, p.c, p.d))
+        return lambda z: (
+            _A(q, a, b, c, d, z) * rec.value(z_to_x(q * z)),
+            _A(q, a, b, c, d, 1 / z) * rec.value(z_to_x(z / q)),
+        )
 
-        def a_of(z):
-            z2 = z * z
-            return (1 - a * z) * (1 - b * z) * (1 - c * z) * (1 - d * z) / ((1 - z2) * (1 - q * z2))
-
-        def p_at(w):
-            return rec.value((w * w + 1) / (2 * w))
-
-        for i in range(len(zs.zbar)):
-            z_hp = zs.z_hp(i)
-            t1 = a_of(z_hp) * p_at(q * z_hp)
-            t2 = a_of(1 / z_hp) * p_at(z_hp / q)
-            out[i] = float(abs(t1 + t2) / (abs(t1) + abs(t2) + _FLOOR))
-    return out
+    return zs.identity_residuals(p, terms)
 
 
 def apply_Q_operator(

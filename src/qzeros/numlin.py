@@ -12,6 +12,9 @@ needed. Unlike the q-series sums or a monomial expansion, the recurrence
 does not cancel catastrophically at small q and large N. Each zero is
 certified by its final Newton step; zeros are returned sorted ascending
 by (real, imaginary) so repeated runs produce identical sequences.
+
+Both families' identity residuals run at WORKING_DPS digits in
+``ZeroSet.identity_residuals``; awspec and racahspec supply only the terms.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Optional, Union
 
 import numpy as np
@@ -40,6 +44,8 @@ RESIDUAL_BOUND = 1e-10
 DEGENERACY_THRESHOLD = 1e-8
 #: Newton iteration cap per seed.
 MAX_NEWTON_STEPS = 50
+#: Added to |t1| + |t2| in an identity residual, so that two vanishing terms give 0, not 0/0.
+_FLOOR = Decimal(float(np.finfo(float).tiny))
 #: A double-precision polish stops once its relative Newton step is this small.
 _DOUBLE_STEP_TARGET = 1e-15
 
@@ -61,12 +67,11 @@ class ZeroSet:
     Askey-Wilson, z-plane for q-Racah) as DecimalComplex values at
     WORKING_DPS digits, before the rounding to double, and
     ``recurrence_hp`` the DecimalComplex recurrence they were polished on; the
-    identity-residual checks evaluate P_N through it at the high-precision
-    zeros (``z_hp``), which must still match the stored doubles. Both are
-    None for an unpolished (double-precision) zero set.
+    identity-residual checks (``identity_residuals``) evaluate P_N through it
+    at the high-precision zeros, which must still match the stored doubles.
+    Both are None for an unpolished (double-precision) zero set.
     """
 
-    family: str
     params: Union[AWParams, RacahParams]
     zbar: np.ndarray
     xbar: Optional[np.ndarray]
@@ -75,27 +80,32 @@ class ZeroSet:
     zeros_hp: Optional[list] = None
     recurrence_hp: Optional[Recurrence] = None
 
-    def recurrence_for(self, params: Union[AWParams, RacahParams]) -> Recurrence:
-        """The carried WORKING_DPS recurrence when it belongs to params, else a fresh one."""
-        if self.recurrence_hp is not None and self.params == params:
-            return self.recurrence_hp
-        return recurrence_coefficients(params, hp=True)
+    def identity_residuals(self, params: Union[AWParams, RacahParams], terms) -> np.ndarray:
+        """|t1 + t2| / (|t1| + |t2| + _FLOOR) per zero, for a zero identity t1 + t2 = 0.
 
-    def z_hp(self, i: int) -> DecimalComplex:
-        """z-plane zero i in DecimalComplex: the high-precision zero while it
-        matches ``zbar[i]`` to 1e-12 relative (of an Askey-Wilson zero's two
-        z images w, 1/w, the one that does), else ``zbar[i]`` itself, so
-        perturbed zero sets are measured at face value. Runs in the caller's
-        decimal context."""
-        target = self.zbar[i]
-        if self.zeros_hp is not None:
-            w = self.zeros_hp[i]
-            if self.family == "aw":
-                w = w + (w * w - 1).sqrt()
-                w = min((w, 1 / w), key=lambda v: abs(complex(v) - target))
-            if abs(complex(w) - target) <= 1e-12 * max(1.0, abs(target)):
-                return w
-        return DecimalComplex.of(target)
+        (t1, t2) = terms(rec)(z) on DecimalComplex, where rec evaluates P_N:
+        the carried recurrence when it belongs to params, else a fresh one at
+        WORKING_DPS digits. Both calls run in rec's arithmetic, so terms(rec)
+        forms its constants there, once. z is the high-precision zero while
+        it matches ``zbar[i]`` to 1e-12 relative (of an Askey-Wilson zero's
+        two z images w, 1/w, the one that does), else ``zbar[i]`` itself, so
+        perturbed zero sets are measured at face value.
+        """
+        same = self.recurrence_hp is not None and self.params == params
+        rec = self.recurrence_hp if same else recurrence_coefficients(params, hp=True)
+        out = np.empty(len(self.zbar))
+        with rec.arithmetic():
+            at = terms(rec)
+            for i, target in enumerate(self.zbar):
+                z = None if self.zeros_hp is None else self.zeros_hp[i]
+                if z is not None and self.params.family == "aw":
+                    z = x_to_z(z)
+                    z = min((z, 1 / z), key=lambda v: abs(complex(v) - target))
+                if z is None or not abs(complex(z) - target) <= 1e-12 * max(1.0, abs(target)):
+                    z = DecimalComplex.of(target)
+                t1, t2 = at(z)
+                out[i] = float(abs(t1 + t2) / (abs(t1) + abs(t2) + _FLOOR))
+        return out
 
 
 @dataclass
@@ -265,7 +275,6 @@ def compute_zero_set(params: Union[AWParams, RacahParams], polish: bool = True) 
     else:
         min_sep = math.inf
     return ZeroSet(
-        family=params.family,
         params=params,
         zbar=zbar,
         xbar=xbar,

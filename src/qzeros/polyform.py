@@ -147,15 +147,15 @@ class RacahParams:
 
 
 def x_to_z(x: ComplexScalar) -> ComplexScalar:
-    """z = x + sqrt(x^2 - 1), principal square root; elementwise on arrays."""
-    return x + np.sqrt(np.asarray(x * x - 1.0, dtype=complex))
+    """z = x + sqrt(x^2 - 1), principal square root; elementwise, also on DecimalComplex."""
+    return x + _sqrt(x * x - 1)
 
 
 def z_to_x(z: ComplexScalar) -> ComplexScalar:
-    """x = (z^2 + 1) / (2z); inverse of x_to_z on either branch."""
+    """x = (z^2 + 1) / (2z); inverse of x_to_z on either branch, also on DecimalComplex."""
     if z == 0:
         raise ZeroArgument("z = 0 has no preimage under z = x + sqrt(x^2-1)")
-    return (z * z + 1.0) / (2.0 * z)
+    return (z * z + 1) / (2 * z)
 
 
 def _aw_coefficient_ratios(p: AWParams):
@@ -245,10 +245,6 @@ def racah_eval(p: RacahParams, z: ComplexScalar) -> tuple[ComplexScalar, Complex
 #: by more than 1e-30 up to N = 24.
 WORKING_DPS = 50
 
-#: Added to the denominator |t1| + |t2| of an identity residual |t1 + t2| / (...),
-#: so that two vanishing terms give 0, not 0/0.
-_FLOOR = Decimal(float(np.finfo(float).tiny))
-
 
 def working_precision(dps: int | None):
     """Decimal arithmetic at dps + 2 digits (unit roundoff 5e-(dps+2)) in a context of its
@@ -337,6 +333,11 @@ class DecimalComplex:
         if a >= 0:
             return DecimalComplex(t, b / (2 * t))
         return DecimalComplex(abs(b) / (2 * t), t if b > 0 else -t)
+
+
+def _sqrt(w):
+    """Principal square root of a DecimalComplex, or elementwise as a complex numpy array."""
+    return w.sqrt() if type(w) is DecimalComplex else np.sqrt(np.asarray(w, dtype=complex))
 
 
 @dataclass(frozen=True)

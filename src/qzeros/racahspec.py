@@ -17,6 +17,9 @@ the closed-form spectrum
     lambda_n = q^(-N) (1 - q^n) (1 - alpha*beta q^(2N-n+1)),   n = 1..N
 
 (report.spectrum_closed_form, shared with Askey-Wilson).
+
+Z, z^(+/-), B and D are written once (_structure); prop23_residuals evaluates
+them at WORKING_DPS digits in numlin's ZeroSet.identity_residuals.
 """
 
 from __future__ import annotations
@@ -29,8 +32,16 @@ import numpy as np
 
 from .errors import GUARD_EPS, BranchDegenerate, first_failure, guard as _guard
 from .numlin import SpectralMatrix, ZeroSet
-from .polyform import _FLOOR, ComplexScalar, DecimalComplex, RacahParams
+from .polyform import ComplexScalar, DecimalComplex, RacahParams, _sqrt
 from .report import spectrum_closed_form
+
+
+def _images(q, gdq, corr, z, branch: int):
+    """(discriminant, S, z^(+), z^(-)) at z, guard-free, with corr = (1-q^2)/(2q)."""
+    disc = z * z - 4 * gdq
+    s = branch * _sqrt(disc)
+    shift = corr * (z - s)
+    return disc, s, q * z + shift, z / q - shift
 
 
 def shift_targets(
@@ -41,9 +52,7 @@ def shift_targets(
     Well defined even at gamma*delta = 0; at a vanishing discriminant both
     images collapse to (1+q^2)/(2q) z.
     """
-    s = branch * np.sqrt(np.asarray(z * z - 4.0 * gammadelta * q, dtype=complex))
-    corr = (1.0 - q * q) / (2.0 * q) * (z - s)
-    return q * z + corr, z / q - corr
+    return _images(q, gammadelta * q, (1.0 - q * q) / (2.0 * q), z, branch)[2:]
 
 
 @dataclass
@@ -69,6 +78,41 @@ def _product_slope(factors: list, slopes: Sequence[ComplexScalar]):
     return slope
 
 
+def _structure(q, al, be, ga, de) -> Callable:
+    """at(z, branch, derivatives) -> (discriminant, Z^2 denominators, _PointStructure),
+    guard-free, with the constants formed once: elementwise on complex scalars and
+    arrays, or on DecimalComplex (parameters too, in the working-precision context).
+    B and D/q are products of linear factors c0 + c1 Z, never divided by one."""
+    gd = ga * de
+    gdq = gd * q
+    corr = (1 - q * q) / (2 * q)
+    b_slopes = (-al * q, -be * de * q, -ga * q, -gd * q)
+    d_offsets, d_slopes = (1, 1, be, al), (-1, -de, -ga, -gd)
+
+    def at(z, branch: int, derivatives: bool):
+        disc, s, z_plus, z_minus = _images(q, gdq, corr, z, branch)
+        zval = (z + s) / (2 * gdq)
+        z2 = zval * zval
+        den0, den1, den2 = 1 - gd * z2, 1 - gdq * z2, 1 - gd * q * q * z2
+        b_factors = [1 + c1 * zval for c1 in b_slopes]
+        d_factors = [c0 + c1 * zval for c0, c1 in zip(d_offsets, d_slopes)]
+        bval = math.prod(b_factors) / (den1 * den2)
+        dval = q * math.prod(d_factors) / (den0 * den1)
+        pt = _PointStructure(z_plus, z_minus, zval, bval, dval, None, None, None, None)
+        if derivatives:
+            ratio = z / s  # dS/dz
+            dzdz = (1.0 + ratio) / (2.0 * gdq)  # dZ/dz
+            slope = corr * (1.0 - ratio)
+            b_dd = -2.0 * gdq * zval * den2 - 2.0 * gd * q * q * zval * den1
+            d_dd = -2.0 * gd * zval * den1 - 2.0 * gdq * zval * den0
+            pt.Bp = (_product_slope(b_factors, b_slopes) - bval * b_dd) / (den1 * den2) * dzdz
+            pt.Dp = (q * _product_slope(d_factors, d_slopes) - dval * d_dd) / (den0 * den1) * dzdz
+            pt.Cplus, pt.Cminus = q + slope, 1.0 / q - slope
+        return disc, (den0, den1, den2), pt
+
+    return at
+
+
 def point_structure(
     p: RacahParams, z: ComplexScalar, branch: int, derivatives: bool = True
 ) -> _PointStructure:
@@ -79,17 +123,11 @@ def point_structure(
     1-gamma*delta*q^2*Z^2, 1-gamma*delta*Z^2. Without ``derivatives``
     (the flow needs none) Bp, Dp, Cplus and Cminus are None.
     """
-    q = p.q
-    gd = p.gammadelta
-    gdq = gd * q
-    _guard((abs(gdq), "gamma*delta*q"))
-    disc = np.asarray(z * z - 4.0 * gdq, dtype=complex)
-    s = branch * np.sqrt(disc)
-    zval = (z + s) / (2.0 * gdq)
-    z2 = zval * zval
-    den0 = 1.0 - gd * z2
-    den1 = 1.0 - gdq * z2
-    den2 = 1.0 - gd * q * q * z2
+    _guard((abs(p.gammadelta * p.q), "gamma*delta*q"))
+    at = _structure(p.q, p.alpha, p.beta, p.gamma, p.delta)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the guards below run after
+        disc, (den0, den1, den2), pt = at(z, branch, derivatives)
+    disc = np.asarray(disc)
     checks = (
         (abs(den1), "1-gamma*delta*q*Z^2"),
         (abs(den2), "1-gamma*delta*q^2*Z^2"),
@@ -104,33 +142,7 @@ def point_structure(
                 f"collide at z = {complex(np.asarray(z).flat[k])}"
             )
     _guard(*checks)
-    corr = (1.0 - q * q) / (2.0 * q)
-    shift = corr * (z - s)
-    z_plus = q * z + shift
-    z_minus = z / q - shift
-
-    # B and D as rational functions of Z; the numerators of B and D/q are
-    # products of linear factors c0 + c1 Z, never divided by one of them.
-    al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
-    b_slopes = (-al * q, -be * de * q, -ga * q, -gd * q)
-    d_slopes = (-1.0, -de, -ga, -gd)
-    b_factors = [1.0 + c1 * zval for c1 in b_slopes]
-    d_factors = [c0 + c1 * zval for c0, c1 in zip((1.0, 1.0, be, al), d_slopes)]
-    b_den = den1 * den2
-    d_den = den0 * den1
-    bval = math.prod(b_factors) / b_den
-    dval = q * math.prod(d_factors) / d_den
-    if not derivatives:
-        return _PointStructure(z_plus, z_minus, zval, bval, dval, None, None, None, None)
-
-    ratio = z / s  # dS/dz
-    dzdz = (1.0 + ratio) / (2.0 * gdq)  # dZ/dz
-    slope = corr * (1.0 - ratio)
-    b_dd = -2.0 * gdq * zval * den2 - 2.0 * gd * q * q * zval * den1
-    d_dd = -2.0 * gd * zval * den1 - 2.0 * gdq * zval * den0
-    bp = (_product_slope(b_factors, b_slopes) - bval * b_dd) / b_den * dzdz
-    dp = (q * _product_slope(d_factors, d_slopes) - dval * d_dd) / d_den * dzdz
-    return _PointStructure(z_plus, z_minus, zval, bval, dval, bp, dp, q + slope, 1.0 / q - slope)
+    return pt
 
 
 def _pair_differences(z: np.ndarray, z_plus: np.ndarray, z_minus: np.ndarray):
@@ -163,6 +175,7 @@ class RacahStructureEval(_PointStructure):
     Wplus: np.ndarray
     Wminus: np.ndarray
     branch: int
+    pairs: tuple  # (d, d_plus, d_minus) of _pair_differences
 
 
 def eval_structure(p: RacahParams, zs: ZeroSet, branch: int = +1) -> RacahStructureEval:
@@ -174,7 +187,7 @@ def eval_structure(p: RacahParams, zs: ZeroSet, branch: int = +1) -> RacahStruct
     """
     z = np.asarray(zs.zbar, dtype=complex)
     pt = point_structure(p, z, branch)
-    d, d_plus, d_minus = _pair_differences(z, pt.z_plus, pt.z_minus)
+    d, d_plus, d_minus = pairs = _pair_differences(z, pt.z_plus, pt.z_minus)
     _guard(
         (abs(d), "z_n-z_m"),
         (abs(d_plus), "z_n^(+)-z_m"),
@@ -184,7 +197,7 @@ def eval_structure(p: RacahParams, zs: ZeroSet, branch: int = +1) -> RacahStruct
     w_minus = (pt.Cminus[:, None] * d - pt.z_minus[:, None] + z[None, :]) / (d * d_minus)
     np.fill_diagonal(w_plus, 0.0)
     np.fill_diagonal(w_minus, 0.0)
-    return RacahStructureEval(**vars(pt), Wplus=w_plus, Wminus=w_minus, branch=branch)
+    return RacahStructureEval(**vars(pt), Wplus=w_plus, Wminus=w_minus, branch=branch, pairs=pairs)
 
 
 def build_matrix_L(p: RacahParams, zs: ZeroSet, branch: int = +1) -> SpectralMatrix:
@@ -196,7 +209,7 @@ def build_matrix_L(p: RacahParams, zs: ZeroSet, branch: int = +1) -> SpectralMat
     """
     se = eval_structure(p, zs, branch=branch)
     z = np.asarray(zs.zbar, dtype=complex)
-    d, d_plus, d_minus = _pair_differences(z, se.z_plus, se.z_minus)
+    d, d_plus, d_minus = se.pairs
     ratio_plus = np.prod(d_plus / d, axis=1)
     ratio_minus = np.prod(d_minus / d, axis=1)
     dz_plus = se.z_plus - z
@@ -221,37 +234,25 @@ def prop23_residuals(p: RacahParams, zs: ZeroSet, branch: int = +1) -> np.ndarra
     """Normalized residuals of B(z_n) R_N(z_n^(+)) + D(z_n) R_N(z_n^(-)) = 0.
 
     R_N is evaluated through the zero set's three-term recurrence, which
-    stays accurate where the defining q-sum cancels heavily; it, B, D and
-    the square root run at WORKING_DPS digits on DecimalComplex. Like the
+    stays accurate where the defining q-sum cancels heavily. Like the
     Askey-Wilson identity, this one can sharpen beyond what a double-rounded
-    zero resolves, so where the zero set carries its pre-rounding zeros and
-    they still agree with the stored doubles the residual is computed at
-    the high-precision zeros; perturbed or hand-built zero sets are
+    zero resolves, so R_N, and B, D and z^(+/-) by point_structure's
+    formulas, run at WORKING_DPS digits at the high-precision zeros
+    (``ZeroSet.identity_residuals``); perturbed or hand-built zero sets are
     measured at face value.
     """
-    rec = zs.recurrence_for(p)
-    point_structure(p, np.asarray(zs.zbar, dtype=complex), branch)  # enforces the guards
-    out = np.empty(len(zs.zbar))
-    with rec.arithmetic():
-        q, al, be, ga, de = map(DecimalComplex.of, (p.q, p.alpha, p.beta, p.gamma, p.delta))
-        gd = ga * de
-        gdq = gd * q
-        corr = (1 - q * q) / (2 * q)
-        for i in range(len(zs.zbar)):
-            z_hp = zs.z_hp(i)
-            s = branch * (z_hp * z_hp - 4 * gdq).sqrt()
-            zval = (z_hp + s) / (2 * gdq)
-            z_plus = q * z_hp + corr * (z_hp - s)
-            z_minus = z_hp / q - corr * (z_hp - s)
-            z2 = zval * zval
-            bval = (1 - al * q * zval) * (1 - be * de * q * zval) * (1 - ga * q * zval)
-            bval *= (1 - gdq * zval) / ((1 - gdq * z2) * (1 - gd * q * q * z2))
-            dval = q * (1 - zval) * (1 - de * zval) * (be - ga * zval) * (al - gd * zval)
-            dval /= (1 - gd * z2) * (1 - gdq * z2)
-            t1 = bval * rec.value(z_plus)
-            t2 = dval * rec.value(z_minus)
-            out[i] = float(abs(t1 + t2) / (abs(t1) + abs(t2) + _FLOOR))
-    return out
+    point_structure(p, np.asarray(zs.zbar, dtype=complex), branch, derivatives=False)  # guards
+
+    def terms(rec):
+        at = _structure(*map(DecimalComplex.of, (p.q, p.alpha, p.beta, p.gamma, p.delta)))
+
+        def t(z):
+            pt = at(z, branch, False)[2]
+            return pt.Bval * rec.value(pt.z_plus), pt.Dval * rec.value(pt.z_minus)
+
+        return t
+
+    return zs.identity_residuals(p, terms)
 
 
 def apply_racah_difference(

@@ -47,9 +47,10 @@ class TestStructureFunctions:
         se = awspec.eval_structure(p, zs)
         assert se.K_plus.shape == (4, 4)
         assert len(se.G_minus) == 4
+        A = awspec.eval_A(p, np.stack([zs.zbar, 1 / zs.zbar], axis=1))
         for i in range(4):
-            assert se.A_plus[i] == pytest.approx(awspec.eval_A(p, zs.zbar[i]))
-            assert se.A_minus[i] == pytest.approx(awspec.eval_A(p, 1 / zs.zbar[i]))
+            assert A[i, 0] == pytest.approx(awspec.eval_A(p, zs.zbar[i]))
+            assert A[i, 1] == pytest.approx(awspec.eval_A(p, 1 / zs.zbar[i]))
 
 
 class TestMatrixM:

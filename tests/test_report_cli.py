@@ -15,6 +15,7 @@ from qzeros.report import (
     tolerance_scale,
 )
 from qzeros.sweeps import SplitMix64, draw_racah_params
+from qzeros.zeroflow import FAMILIES
 
 AW_ARGS = ["--family", "aw", "-a", "2", "-b", "3", "-c", "4", "-d", "5", "-q", "0.5", "-N", "1"]
 RACAH_ARGS = [
@@ -367,6 +368,20 @@ class TestUnrepresentableResidual:
             outs.append(capsys.readouterr().out)
         assert codes == [2, 2, 2]
         assert outs[0] == outs[2]
+
+    @pytest.mark.parametrize("family", ["aw", "racah"])
+    @pytest.mark.parametrize("n", [25, 32])
+    def test_det_closed_form_overflow_fails_only_the_det_check(self, capsys, family, n):
+        # q^(-N^2) = 0.3^(-625) and beyond exceeds the double range from N = 25 on
+        record = FAMILIES[family]
+        params = record.draw(SplitMix64(0), 0.3 + 0j, n)
+        argv = ["verify", "--family", family, "-q", "0.3", "-N", str(n)]
+        for name, flag in record.flags.items():
+            argv += [flag, repr(complex(getattr(params, name)))]
+        assert main(argv) == 2
+        failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == [f"{record.corollary_ref}.3-det"]
+        assert failed[0]["residual"] is None
 
 
 def test_readme_cli_examples_exit_0(capsys):
