@@ -81,15 +81,12 @@ class ZeroSet:
     recurrence_hp: Optional[Recurrence] = None
 
     def identity_residuals(self, params: Union[AWParams, RacahParams], terms) -> np.ndarray:
-        """|t1 + t2| / (|t1| + |t2| + _FLOOR) per zero, for a zero identity t1 + t2 = 0.
-
-        (t1, t2) = terms(rec)(z) on DecimalComplex, where rec evaluates P_N:
-        the carried recurrence when it belongs to params, else a fresh one at
-        WORKING_DPS digits. Both calls run in rec's arithmetic, so terms(rec)
-        forms its constants there, once. z is the high-precision zero while
-        it matches ``zbar[i]`` to 1e-12 relative (of an Askey-Wilson zero's
-        two z images w, 1/w, the one that does), else ``zbar[i]`` itself, so
-        perturbed zero sets are measured at face value.
+        """|t1 + t2| / (|t1| + |t2| + _FLOOR) per zero of an identity t1 + t2 = 0, with
+        (t1, t2) = terms(rec)(z). rec evaluates P_N: the carried recurrence if it belongs
+        to params, else a fresh one. Both calls run in rec's arithmetic (WORKING_DPS
+        digits), so terms(rec) forms its constants there, once. z is the high-precision
+        zero while it matches ``zbar[i]`` to 1e-12 relative (of an Askey-Wilson zero's z
+        images w, 1/w, the one that does), else ``zbar[i]``: perturbed sets at face value.
         """
         same = self.recurrence_hp is not None and self.params == params
         rec = self.recurrence_hp if same else recurrence_coefficients(params, hp=True)

@@ -79,21 +79,23 @@ def _product_slope(factors: list, slopes: Sequence[ComplexScalar]):
 
 
 def _structure(q, al, be, ga, de) -> Callable:
-    """at(z, branch, derivatives) -> (discriminant, Z^2 denominators, _PointStructure),
-    guard-free, with the constants formed once: elementwise on complex scalars and
-    arrays, or on DecimalComplex (parameters too, in the working-precision context).
-    B and D/q are products of linear factors c0 + c1 Z, never divided by one."""
+    """at(z, branch, derivatives, guards) -> _PointStructure, the constants formed once:
+    elementwise on complex scalars and arrays, or on DecimalComplex (parameters too, in
+    the working-precision context). No guards of its own: guards(z, discriminant, Z^2
+    denominators) runs before the divisions by them. B and D/q are products of linear
+    factors c0 + c1 Z, never divided by one."""
     gd = ga * de
     gdq = gd * q
     corr = (1 - q * q) / (2 * q)
     b_slopes = (-al * q, -be * de * q, -ga * q, -gd * q)
     d_offsets, d_slopes = (1, 1, be, al), (-1, -de, -ga, -gd)
 
-    def at(z, branch: int, derivatives: bool):
+    def at(z, branch: int, derivatives: bool, guards: Callable = lambda *_: None):
         disc, s, z_plus, z_minus = _images(q, gdq, corr, z, branch)
         zval = (z + s) / (2 * gdq)
         z2 = zval * zval
         den0, den1, den2 = 1 - gd * z2, 1 - gdq * z2, 1 - gd * q * q * z2
+        guards(z, disc, (den0, den1, den2))
         b_factors = [1 + c1 * zval for c1 in b_slopes]
         d_factors = [c0 + c1 * zval for c0, c1 in zip(d_offsets, d_slopes)]
         bval = math.prod(b_factors) / (den1 * den2)
@@ -108,26 +110,15 @@ def _structure(q, al, be, ga, de) -> Callable:
             pt.Bp = (_product_slope(b_factors, b_slopes) - bval * b_dd) / (den1 * den2) * dzdz
             pt.Dp = (q * _product_slope(d_factors, d_slopes) - dval * d_dd) / (den0 * den1) * dzdz
             pt.Cplus, pt.Cminus = q + slope, 1.0 / q - slope
-        return disc, (den0, den1, den2), pt
+        return pt
 
     return at
 
 
-def point_structure(
-    p: RacahParams, z: ComplexScalar, branch: int, derivatives: bool = True
-) -> _PointStructure:
-    """The point structure at z, elementwise on arrays.
-
-    A failing guard names the first failing point, and of its guards the
-    first in the order discriminant, 1-gamma*delta*q*Z^2,
-    1-gamma*delta*q^2*Z^2, 1-gamma*delta*Z^2. Without ``derivatives``
-    (the flow needs none) Bp, Dp, Cplus and Cminus are None.
-    """
-    _guard((abs(p.gammadelta * p.q), "gamma*delta*q"))
-    at = _structure(p.q, p.alpha, p.beta, p.gamma, p.delta)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the guards below run after
-        disc, (den0, den1, den2), pt = at(z, branch, derivatives)
+def _point_guards(z, disc, dens) -> None:
+    """The point guards of point_structure, over whole arrays (see there)."""
     disc = np.asarray(disc)
+    den0, den1, den2 = dens
     checks = (
         (abs(den1), "1-gamma*delta*q*Z^2"),
         (abs(den2), "1-gamma*delta*q^2*Z^2"),
@@ -142,7 +133,20 @@ def point_structure(
                 f"collide at z = {complex(np.asarray(z).flat[k])}"
             )
     _guard(*checks)
-    return pt
+
+
+def point_structure(
+    p: RacahParams, z: ComplexScalar, branch: int, derivatives: bool = True
+) -> _PointStructure:
+    """The point structure at z, elementwise on arrays.
+
+    A failing guard names the first failing point, and of its guards the
+    first in the order discriminant, 1-gamma*delta*q*Z^2,
+    1-gamma*delta*q^2*Z^2, 1-gamma*delta*Z^2. Without ``derivatives``
+    (the flow needs none) Bp, Dp, Cplus and Cminus are None.
+    """
+    _guard((abs(p.gammadelta * p.q), "gamma*delta*q"))
+    return _structure(p.q, p.alpha, p.beta, p.gamma, p.delta)(z, branch, derivatives, _point_guards)
 
 
 def _pair_differences(z: np.ndarray, z_plus: np.ndarray, z_minus: np.ndarray):
@@ -247,7 +251,7 @@ def prop23_residuals(p: RacahParams, zs: ZeroSet, branch: int = +1) -> np.ndarra
         at = _structure(*map(DecimalComplex.of, (p.q, p.alpha, p.beta, p.gamma, p.delta)))
 
         def t(z):
-            pt = at(z, branch, False)[2]
+            pt = at(z, branch, False)
             return pt.Bval * rec.value(pt.z_plus), pt.Dval * rec.value(pt.z_minus)
 
         return t
