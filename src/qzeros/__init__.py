@@ -32,20 +32,11 @@ from .polyform import (
     AWParams,
     RacahParams,
     Recurrence,
-    aw_eval,
-    aw_rational_eval,
-    racah_eval,
     recurrence_coefficients,
     x_to_z,
     z_to_x,
 )
-from .qkernel import (
-    ComplexScalar,
-    modified_qpochhammer,
-    modified_qpochhammer_derivative,
-    phi43_terminating,
-    qpochhammer,
-)
+from .qkernel import ComplexScalar, qpochhammer
 from .report import PACKAGE_VERSION as __version__
 from .report import DEFAULT_TOLERANCES, VerificationReport, emit_report, resolve_tolerances
 from .zeroflow import (
@@ -81,8 +72,6 @@ __all__ = [
     "ZeroArgument",
     "ZeroSet",
     "__version__",
-    "aw_eval",
-    "aw_rational_eval",
     "aw_velocity",
     "compute_zero_set",
     "determinant",
@@ -93,11 +82,7 @@ __all__ = [
     "integrate_flow",
     "linearization_check",
     "match_spectra",
-    "modified_qpochhammer",
-    "modified_qpochhammer_derivative",
-    "phi43_terminating",
     "qpochhammer",
-    "racah_eval",
     "racah_velocity",
     "recurrence_coefficients",
     "resolve_tolerances",

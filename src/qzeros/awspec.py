@@ -25,7 +25,6 @@ digits in numlin's ZeroSet.identity_residuals, the loop shared with q-Racah.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -203,32 +202,3 @@ def prop21_residuals(p: AWParams, zs: ZeroSet) -> np.ndarray:
         )
 
     return zs.identity_residuals(p, terms)
-
-
-def apply_Q_operator(
-    p: AWParams, f: Callable[[ComplexScalar], ComplexScalar], z: ComplexScalar
-) -> ComplexScalar:
-    """Q f(z) = A(z) f(qz) + A(1/z) f(z/q) - [A(z) + A(1/z)] f(z).
-
-    The rational form P_N is an eigenfunction with eigenvalue
-    (q^(-N) - 1)(1 - abcd q^(N-1)).
-    """
-    _guard((abs(z), "z"))
-    a_plus = eval_A(p, z)
-    a_minus = eval_A(p, 1.0 / z)
-    return a_plus * f(p.q * z) + a_minus * f(z / p.q) - (a_plus + a_minus) * f(z)
-
-
-def q_eigenvalue(p: AWParams) -> ComplexScalar:
-    """The Q-operator eigenvalue (q^(-N) - 1)(1 - abcd q^(N-1)) on P_N."""
-    return (p.q**-p.N - 1.0) * (1.0 - p.abcd * p.q ** (p.N - 1))
-
-
-def trace_closed_form(p: AWParams) -> ComplexScalar:
-    """Sum of the diagonal of M in closed form:
-
-    N (q^(-N) + abcd q^(N-1)) + (1 - q^(-N))/(1 - q) (q + abcd q^(N-1)).
-    """
-    q = p.q
-    pw = p.abcd * q ** (p.N - 1)
-    return p.N * (q**-p.N + pw) + (1.0 - q**-p.N) / (1.0 - q) * (q + pw)

@@ -33,6 +33,7 @@ from .report import (
     render_json,
     resolve_tolerances,
     spectrum_closed_form,
+    trace_closed_form,
     write_output,
 )
 from .sweeps import SplitMix64, unit_direction
@@ -297,7 +298,7 @@ def run_verify(
         residual = rel_residual(complex(np.trace(power)) - target, target)
         report.add(f"{cor}.3-trace-k{k}", residual, match_tol, [f"{cor}.3"])
     if not sweep:
-        closed = family.trace_closed_form(params)
+        closed = trace_closed_form(params)
         residual = rel_residual(complex(np.trace(entries)) - closed, closed)
         report.add(f"{cor}.3-trace-closed-form", residual, match_tol, [f"{cor}.3"])
     try:

@@ -85,7 +85,8 @@ class BranchDegenerate(QZerosError):
 
 
 class NoConvergence(QZerosError):
-    """An iterative numerical kernel failed to reach its target accuracy."""
+    """A numerical kernel cannot reach its target accuracy: an iteration stalled, or the
+    working precision cannot resolve the three-term recurrence."""
 
 
 class LengthMismatch(QZerosError):

@@ -54,11 +54,12 @@ _DOUBLE_STEP_TARGET = 1e-15
 class ZeroSet:
     """Computed zeros of one family instance, with residual bookkeeping.
 
-    For the Askey-Wilson family ``xbar`` holds the zeros of the degree-N
-    polynomial in x and ``zbar`` their images z = x + sqrt(x^2-1) under the
-    principal branch; for q-Racah ``zbar`` holds the polynomial zeros
-    directly and ``xbar`` is None. ``min_separation`` is the smallest
-    pairwise distance within ``zbar`` (infinity when N = 1).
+    Where the recurrence runs in x (``params.recurrence_in_x``, Askey-Wilson)
+    ``xbar`` holds the zeros of the degree-N polynomial in x and ``zbar``
+    their images z = x + sqrt(x^2-1) under the principal branch; otherwise
+    (q-Racah) ``zbar`` holds the polynomial zeros directly and ``xbar`` is
+    None. ``min_separation`` is the smallest pairwise distance within
+    ``zbar`` (infinity when N = 1).
 
     ``residuals[i]`` is the size of the final Newton step that certified
     zero i, relative to max(1, |zero|), in the variable of the recurrence.
@@ -85,8 +86,8 @@ class ZeroSet:
         (t1, t2) = terms(rec)(z). rec evaluates P_N: the carried recurrence if it belongs
         to params, else a fresh one. Both calls run in rec's arithmetic (WORKING_DPS
         digits), so terms(rec) forms its constants there, once. z is the high-precision
-        zero while it matches ``zbar[i]`` to 1e-12 relative (of an Askey-Wilson zero's z
-        images w, 1/w, the one that does), else ``zbar[i]``: perturbed sets at face value.
+        zero while it matches ``zbar[i]`` to 1e-12 relative (of the z images w, 1/w of a
+        zero in x, the one that does), else ``zbar[i]``: perturbed sets at face value.
         """
         same = self.recurrence_hp is not None and self.params == params
         rec = self.recurrence_hp if same else recurrence_coefficients(params, hp=True)
@@ -95,7 +96,7 @@ class ZeroSet:
             at = terms(rec)
             for i, target in enumerate(self.zbar):
                 z = None if self.zeros_hp is None else self.zeros_hp[i]
-                if z is not None and self.params.family == "aw":
+                if z is not None and self.xbar is not None:
                     z = x_to_z(z)
                     z = min((z, 1 / z), key=lambda v: abs(complex(v) - target))
                 if z is None or not abs(complex(z) - target) <= 1e-12 * max(1.0, abs(target)):
@@ -264,8 +265,7 @@ def compute_zero_set(params: Union[AWParams, RacahParams], polish: bool = True) 
     rec = recurrence_coefficients(params, hp=polish)
     polished, residuals = find_polynomial_zeros(rec)
     zeros = np.array([complex(x) for x in polished])
-    # Askey-Wilson zeros come in x, q-Racah zeros in z
-    xbar, zbar = (zeros, x_to_z(zeros)) if params.family == "aw" else (None, zeros)
+    xbar, zbar = (zeros, x_to_z(zeros)) if params.recurrence_in_x else (None, zeros)
     if params.N > 1:
         diffs = np.abs(zbar[:, None] - zbar[None, :])
         min_sep = float((diffs + np.diag(np.full(params.N, np.inf))).min())

@@ -1,21 +1,6 @@
-"""Askey-Wilson and q-Racah polynomials: parameters, evaluation, recurrences.
+"""Askey-Wilson and q-Racah polynomials: parameters, three-term recurrences, x <-> z.
 
-The Askey-Wilson polynomial of degree N in x is evaluated from its explicit
-sum over modified q-Pochhammer symbols,
-
-    p_N(x) = (ab,ac,ad;q)_N a^(-N) *
-             sum_m q^m (q^(-N);q)_m (abcd q^(N-1);q)_m
-                   / [(q;q)_m (ab;q)_m (ac;q)_m (ad;q)_m] * {a;q;x}_m,
-
-and the q-Racah polynomial of degree N in z from
-
-    R_N(z) = sum_m q^m (q^(-N);q)_m (alpha*beta*q^(N+1);q)_m
-                   / [(q;q)_m (alpha*q;q)_m (beta*delta*q;q)_m (gamma*q;q)_m]
-             * prod_{s<m} (1 - z q^s + gamma*delta*q^(2s+1)).
-
-Both evaluators return the exact derivative alongside the value. At small
-q and larger N the sum terms exceed the polynomial values by many orders of
-magnitude, so zero finding uses the monic three-term recurrences instead
+Both polynomials are represented by their monic three-term recurrences
 (Koekoek-Lesky-Swarttouw 2010, eq. 14.1.4 for Askey-Wilson in x and
 eq. 14.2.3 for q-Racah in z, monic forms 14.1.5 and 14.2.4):
 
@@ -25,9 +10,10 @@ P_N's zeros are the eigenvalues of the N x N tridiagonal (Jacobi) matrix
 with diagonal b_n and off-diagonal products c_n (Golub & Welsch 1969), and
 the recurrence evaluates P_N and its derivative stably, in double or at
 WORKING_DPS digits on DecimalComplex, a complex type over the C
-``decimal`` module. The related rational form P_N(z) = p_N((z^2+1)/(2z))
-and the change of variables z = x + sqrt(x^2-1) (principal branch) live
-here too.
+``decimal`` module. The defining q-series sums cancel by many orders of
+magnitude at small q and larger N; they serve as a test oracle
+(``tests/qseries_oracle.py``). The change of variables
+z = x + sqrt(x^2-1) (principal branch) and its inverse live here too.
 """
 
 from __future__ import annotations
@@ -40,8 +26,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegenerateDenominator, ZeroArgument
-from .qkernel import ComplexScalar, qpochhammer, qpochhammer_multi
+from .errors import DegenerateDenominator, NoConvergence, ZeroArgument
+from .qkernel import ComplexScalar, qpochhammer
 
 
 def _check_q(q: complex) -> None:
@@ -64,11 +50,13 @@ class AWParams:
     """The four Askey-Wilson parameters, the base q, and the degree N.
 
     ``product`` (abcd) and ``shift`` (-1) place M's spectrum in the common
-    closed form q^(-N) (1 - q^n) (1 - product q^(2N+shift-n)).
+    closed form q^(-N) (1 - q^n) (1 - product q^(2N+shift-n)). The
+    recurrence runs in x (``recurrence_in_x``), and z = x_to_z(x).
     """
 
     family: ClassVar[str] = "aw"
     shift: ClassVar[int] = -1
+    recurrence_in_x: ClassVar[bool] = True
 
     a: ComplexScalar
     b: ComplexScalar
@@ -107,11 +95,13 @@ class RacahParams:
     No Diophantine restriction is placed on alpha*q, beta*delta*q or
     gamma*q; only the non-vanishing of their q-Pochhammer columns up to
     order N is required. ``product`` (alpha*beta) and ``shift`` (+1) place
-    L's spectrum in the closed form shared with AWParams.
+    L's spectrum in the closed form shared with AWParams. The recurrence
+    runs in z itself.
     """
 
     family: ClassVar[str] = "racah"
     shift: ClassVar[int] = 1
+    recurrence_in_x: ClassVar[bool] = False
 
     alpha: ComplexScalar
     beta: ComplexScalar
@@ -156,88 +146,6 @@ def z_to_x(z: ComplexScalar) -> ComplexScalar:
     if z == 0:
         raise ZeroArgument("z = 0 has no preimage under z = x + sqrt(x^2-1)")
     return (z * z + 1) / (2 * z)
-
-
-def _aw_coefficient_ratios(p: AWParams):
-    """Yield the m -> m+1 ratio of the Askey-Wilson sum coefficients."""
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    qm = 1.0 + 0.0j  # q^m
-    f_top1 = q ** -p.N  # q^(-N) q^m
-    f_top2 = p.abcd * q ** (p.N - 1)
-    for m in range(p.N):
-        top = q * (1.0 - f_top1 * qm) * (1.0 - f_top2 * qm)
-        bot = (1.0 - q * qm) * (1.0 - a * b * qm) * (1.0 - a * c * qm) * (1.0 - a * d * qm)
-        if bot == 0:
-            raise DegenerateDenominator(f"Askey-Wilson coefficient denominator vanished at m={m + 1}")
-        yield top / bot
-        qm *= q
-
-
-def aw_eval(p: AWParams, x: ComplexScalar) -> tuple[ComplexScalar, ComplexScalar]:
-    """Askey-Wilson polynomial value and x-derivative at x."""
-    prefactor = qpochhammer_multi((p.a * p.b, p.a * p.c, p.a * p.d), p.q, p.N) / p.a**p.N
-    coeff = 1.0 + 0.0j
-    total_v = 1.0 + 0.0j  # m = 0 term: coefficient 1, {a;q;x}_0 = 1
-    total_d = 0.0 + 0.0j
-    # Running modified q-Pochhammer pair, one linear factor added per term.
-    pv = 1.0 + 0.0j
-    pd = 0.0 + 0.0j
-    w = complex(p.a)  # a q^s
-    for ratio in _aw_coefficient_ratios(p):
-        coeff *= ratio
-        f = 1.0 + w * w - 2.0 * w * x
-        fp = -2.0 * w
-        pv, pd = pv * f, pd * f + pv * fp
-        total_v += coeff * pv
-        total_d += coeff * pd
-        w *= p.q
-    return prefactor * total_v, prefactor * total_d
-
-
-def aw_rational_eval(p: AWParams, z: ComplexScalar) -> ComplexScalar:
-    """The rational form P_N(z) = p_N((z^2+1)/(2z)); symmetric under z -> 1/z."""
-    return aw_eval(p, z_to_x(z))[0]
-
-
-def _racah_coefficient_ratios(p: RacahParams):
-    """Yield the m -> m+1 ratio of the q-Racah sum coefficients."""
-    q = p.q
-    qm = 1.0 + 0.0j
-    f_top1 = q ** -p.N
-    f_top2 = p.alphabeta * q ** (p.N + 1)
-    aq, bdq, gq = p.alpha * q, p.beta * p.delta * q, p.gamma * q
-    for m in range(p.N):
-        top = q * (1.0 - f_top1 * qm) * (1.0 - f_top2 * qm)
-        bot = (1.0 - q * qm) * (1.0 - aq * qm) * (1.0 - bdq * qm) * (1.0 - gq * qm)
-        if bot == 0:
-            raise DegenerateDenominator(f"q-Racah coefficient denominator vanished at m={m + 1}")
-        yield top / bot
-        qm *= q
-
-
-def racah_eval(p: RacahParams, z: ComplexScalar) -> tuple[ComplexScalar, ComplexScalar]:
-    """q-Racah polynomial value and z-derivative at z."""
-    q = p.q
-    gdq = p.gammadelta * q
-    coeff = 1.0 + 0.0j
-    total_v = 1.0 + 0.0j
-    total_d = 0.0 + 0.0j
-    # Running product prod_{s<m} (1 - z q^s + gamma*delta*q^(2s+1)) and its
-    # z-derivative, extended by one factor per term.
-    pv = 1.0 + 0.0j
-    pd = 0.0 + 0.0j
-    qs = 1.0 + 0.0j  # q^s
-    w = gdq  # gamma*delta*q^(2s+1)
-    for ratio in _racah_coefficient_ratios(p):
-        coeff *= ratio
-        f = 1.0 - z * qs + w
-        fp = -qs
-        pv, pd = pv * f, pd * f + pv * fp
-        total_v += coeff * pv
-        total_d += coeff * pd
-        qs *= q
-        w *= q * q
-    return total_v, total_d
 
 
 #: Working precision (decimal digits) of the zero polish and of the identity
@@ -384,13 +292,14 @@ class Recurrence:
             return cur, dcur
 
 
-def _aw_recurrence(p: AWParams, num) -> tuple[list, list]:
-    """KLS eq. 14.1.5: b_n = (a + 1/a - A_n - C_n)/2, c_n = A_{n-1} C_n / 4."""
+def _aw_recurrence(p: AWParams, num) -> tuple[list, list, list]:
+    """KLS eq. 14.1.5: b_n = (a + 1/a - A_n - C_n)/2, c_n = A_{n-1} C_n / 4; and the terms
+    a, 1/a, A_n, C_n that the b_n sum."""
     a, b, c, d, q = (num(v) for v in (p.a, p.b, p.c, p.d, p.q))
     one = num(1)
     ab, ac, ad, bc, bd, cd = a * b, a * c, a * d, b * c, b * d, c * d
     abcd = ab * cd
-    diag, off = [], []
+    diag, off, terms = [], [], [a, one / a]
     a_prev = one  # A_{n-1}; any finite value, as C_0 = 0
     qn, qn1 = one, one / q  # q^n, q^(n-1)
     for n in range(p.N):
@@ -407,18 +316,20 @@ def _aw_recurrence(p: AWParams, num) -> tuple[list, list]:
             )
         diag.append((a + one / a - a_n - c_n) / 2)
         off.append(a_prev * c_n / 4)
+        terms += (a_n, c_n)
         a_prev = a_n
         qn, qn1 = qn * q, qn
-    return diag, off
+    return diag, off, terms
 
 
-def _racah_recurrence(p: RacahParams, num) -> tuple[list, list]:
-    """KLS eq. 14.2.4: b_n = 1 + gamma*delta*q - A_n - C_n, c_n = A_{n-1} C_n."""
+def _racah_recurrence(p: RacahParams, num) -> tuple[list, list, list]:
+    """KLS eq. 14.2.4: b_n = 1 + gamma*delta*q - A_n - C_n, c_n = A_{n-1} C_n; and the
+    terms 1 + gamma*delta*q, A_n, C_n that the b_n sum."""
     al, be, ga, de, q = (num(v) for v in (p.alpha, p.beta, p.gamma, p.delta, p.q))
     one = num(1)
     ab, bd = al * be, be * de
     shift = one + ga * de * q
-    diag, off = [], []
+    diag, off, terms = [], [], [shift]
     a_prev = one  # A_{n-1}; any finite value, as C_0 = 0
     qn = one  # q^n
     for n in range(p.N):
@@ -436,9 +347,10 @@ def _racah_recurrence(p: RacahParams, num) -> tuple[list, list]:
             )
         diag.append(shift - a_n - c_n)
         off.append(a_prev * c_n)
+        terms += (a_n, c_n)
         a_prev = a_n
         qn = qn1
-    return diag, off
+    return diag, off, terms
 
 
 def recurrence_coefficients(p: AWParams | RacahParams, hp: bool = False) -> Recurrence:
@@ -450,7 +362,9 @@ def recurrence_coefficients(p: AWParams | RacahParams, hp: bool = False) -> Recu
     products. With ``hp`` the coefficients are DecimalComplex values at
     WORKING_DPS digits (in a decimal context of their own).
     Raises DegenerateDenominator when a coefficient denominator vanishes,
-    i.e. when some lower-degree polynomial of the family drops degree.
+    i.e. when some lower-degree polynomial of the family drops degree, and
+    NoConvergence when, at WORKING_DPS digits, the sum that forms b_n
+    cancels catastrophically (see _check_cancellation).
     """
     if not isinstance(p, (AWParams, RacahParams)):
         raise TypeError(f"unsupported parameter type {type(p).__name__}")
@@ -458,6 +372,24 @@ def recurrence_coefficients(p: AWParams | RacahParams, hp: bool = False) -> Recu
     dps = WORKING_DPS if hp else None
     try:
         with working_precision(dps):
-            return Recurrence(*map(tuple, build(p, DecimalComplex.of if hp else complex)), dps)
+            diag, off, terms = build(p, DecimalComplex.of if hp else complex)
+            if hp:
+                _check_cancellation(diag, off, terms, dps)
+            return Recurrence(tuple(diag), tuple(off), dps)
     except ZeroDivisionError as exc:
         raise DegenerateDenominator(f"three-term recurrence denominator vanished: {exc}") from exc
+
+
+def _check_cancellation(diag: list, off: list, terms: list, dps: int) -> None:
+    """Raise NoConvergence when the terms that the b_n sum exceed the Jacobi scale
+    max(1, |b_n|, |c_n|^(1/2)) by more than 10^(dps-17): rounding at dps digits then
+    leaves b_n, and the zeros, less accurate than a double. An extreme |a| does that.
+    Compared in squares, which spares a square root per term."""
+    largest = max(t.real * t.real + t.imag * t.imag for t in terms)
+    scale = max(Decimal(1), *(b.real * b.real + b.imag * b.imag for b in diag), *map(abs, off))
+    if largest > scale * Decimal(10) ** (2 * (dps - 17)):
+        raise NoConvergence(
+            f"the recurrence diagonal b_n cancels catastrophically: its terms reach "
+            f"{float(largest.sqrt()):.3e} against the Jacobi scale {float(scale.sqrt()):.3e}, "
+            f"beyond what {dps} digits resolve"
+        )

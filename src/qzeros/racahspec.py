@@ -36,25 +36,6 @@ from .polyform import ComplexScalar, DecimalComplex, RacahParams, _sqrt
 from .report import spectrum_closed_form
 
 
-def _images(q, gdq, corr, z, branch: int):
-    """(discriminant, S, z^(+), z^(-)) at z, guard-free, with corr = (1-q^2)/(2q)."""
-    disc = z * z - 4 * gdq
-    s = branch * _sqrt(disc)
-    shift = corr * (z - s)
-    return disc, s, q * z + shift, z / q - shift
-
-
-def shift_targets(
-    q: ComplexScalar, gammadelta: ComplexScalar, z: ComplexScalar, branch: int = +1
-) -> tuple[ComplexScalar, ComplexScalar]:
-    """The q-shifted images (z^(+), z^(-)) of z.
-
-    Well defined even at gamma*delta = 0; at a vanishing discriminant both
-    images collapse to (1+q^2)/(2q) z.
-    """
-    return _images(q, gammadelta * q, (1.0 - q * q) / (2.0 * q), z, branch)[2:]
-
-
 @dataclass
 class _PointStructure:
     """B, D and friends at the points z (scalars, or arrays like z), one branch."""
@@ -91,7 +72,10 @@ def _structure(q, al, be, ga, de) -> Callable:
     d_offsets, d_slopes = (1, 1, be, al), (-1, -de, -ga, -gd)
 
     def at(z, branch: int, derivatives: bool, guards: Callable = lambda *_: None):
-        disc, s, z_plus, z_minus = _images(q, gdq, corr, z, branch)
+        disc = z * z - 4 * gdq
+        s = branch * _sqrt(disc)
+        shift = corr * (z - s)
+        z_plus, z_minus = q * z + shift, z / q - shift
         zval = (z + s) / (2 * gdq)
         z2 = zval * zval
         den0, den1, den2 = 1 - gd * z2, 1 - gdq * z2, 1 - gd * q * q * z2
@@ -257,39 +241,3 @@ def prop23_residuals(p: RacahParams, zs: ZeroSet, branch: int = +1) -> np.ndarra
         return t
 
     return zs.identity_residuals(p, terms)
-
-
-def apply_racah_difference(
-    p: RacahParams,
-    f: Callable[[ComplexScalar], ComplexScalar],
-    z: ComplexScalar,
-    branch: int = +1,
-) -> ComplexScalar:
-    """B(z) f(z^(+)) - [B(z) + D(z)] f(z) + D(z) f(z^(-)).
-
-    R_N is an eigenfunction with eigenvalue
-    (q^(-N) - 1)(1 - alpha*beta q^(N+1)); the result is branch independent.
-    """
-    pt = point_structure(p, z, branch)
-    return (
-        pt.Bval * f(pt.z_plus)
-        - (pt.Bval + pt.Dval) * f(z)
-        + pt.Dval * f(pt.z_minus)
-    )
-
-
-def racah_eigenvalue(p: RacahParams) -> ComplexScalar:
-    """(q^(-N) - 1)(1 - alpha*beta q^(N+1)), the difference-operator eigenvalue."""
-    return (p.q**-p.N - 1.0) * (1.0 - p.alphabeta * p.q ** (p.N + 1))
-
-
-def trace_closed_form(p: RacahParams) -> ComplexScalar:
-    """Sum of the diagonal of L in closed form:
-
-    N (q^(-N) + alpha*beta q^(N+1)) + q (1 - q^(-N))(1 + alpha*beta q^N)/(1 - q).
-    """
-    q = p.q
-    ab = p.alphabeta
-    return p.N * (q**-p.N + ab * q ** (p.N + 1)) + q * (1.0 - q**-p.N) * (
-        1.0 + ab * q**p.N
-    ) / (1.0 - q)

@@ -1,8 +1,8 @@
 """Verification reports: named checks, tolerances, closed forms, JSON/CSV emission.
 
-The closed-form spectrum and determinant that the checks hold M and L to
-are written once for both families, in terms of the product and shift
-that each params type carries.
+The closed-form spectrum, trace and determinant that the checks hold M
+and L to are written once for both families, in terms of the product and
+shift that each params type carries.
 
 A report is a flat list of checks, each carrying a nonnegative residual,
 the tolerance it was held to, a verdict, and the anchor names of the
@@ -135,6 +135,13 @@ def spectrum_closed_form(q, product, shift: int, N: int) -> list:
     return [
         q**-N * (1 - q**n) * (1 - product * q ** (2 * N + shift - n)) for n in range(1, N + 1)
     ]
+
+
+def trace_closed_form(p: Union[AWParams, RacahParams]) -> ComplexScalar:
+    """tr M resp. tr L = N (q^(-N) + P q^(N+s)) + (1 - q^(-N))/(1 - q) (q + P q^(N+s))."""
+    q = p.q
+    pw = p.product * q ** (p.N + p.shift)
+    return p.N * (q**-p.N + pw) + (1.0 - q**-p.N) / (1.0 - q) * (q + pw)
 
 
 def det_closed_form(p: Union[AWParams, RacahParams]) -> ComplexScalar:

@@ -140,7 +140,6 @@ class Family:
     draw: Callable  # (SplitMix64, q, N) -> params
     build_matrix: Callable  # (params, ZeroSet) -> SpectralMatrix
     residuals: Callable  # (params, ZeroSet) -> zero-identity residual per zero
-    trace_closed_form: Callable  # params -> closed-form trace of the matrix
     velocity: Callable  # (params, FlowState) -> velocities
     isospectral: Callable  # (params, t) -> parameters with the same product
     position: Callable  # ZeroSet -> the zeros in flow coordinates
@@ -166,7 +165,6 @@ AW = Family(
     draw=lambda stream, q, n: draw_aw_params(stream, q, n),
     build_matrix=lambda p, zs: awspec.build_matrix_M(p, zs),
     residuals=lambda p, zs: awspec.prop21_residuals(p, zs),
-    trace_closed_form=lambda p: awspec.trace_closed_form(p),
     velocity=lambda p, state: aw_velocity(p, state),
     isospectral=lambda p, t: replace(p, a=t * p.a, b=p.b / t),
     position=lambda zs: zs.xbar,
@@ -182,7 +180,6 @@ RACAH = Family(
     draw=lambda stream, q, n: draw_racah_params(stream, q, n),
     build_matrix=lambda p, zs: racahspec.build_matrix_L(p, zs),
     residuals=lambda p, zs: racahspec.prop23_residuals(p, zs),
-    trace_closed_form=lambda p: racahspec.trace_closed_form(p),
     velocity=lambda p, state: racah_velocity(p, state),
     isospectral=lambda p, t: replace(p, alpha=t * p.alpha, beta=p.beta / t),
     position=lambda zs: zs.zbar,

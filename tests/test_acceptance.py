@@ -14,10 +14,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qseries_oracle import (
+    apply_Q_operator,
+    apply_racah_difference,
+    aw_rational_eval,
+    q_eigenvalue,
+    racah_eigenvalue,
+    racah_eval,
+)
 from qzeros import awspec, racahspec, zeroflow
 from qzeros.numlin import compute_zero_set, determinant, eigenvalues, match_spectra
-from qzeros.polyform import AWParams, RacahParams, aw_rational_eval, racah_eval
-from qzeros.report import det_closed_form, rel_residual
+from qzeros.polyform import AWParams, RacahParams
+from qzeros.report import det_closed_form, rel_residual, trace_closed_form
 from qzeros.sweeps import SplitMix64, draw_aw_params, draw_racah_params, unit_direction
 from qzeros.zeroflow import FlowState
 
@@ -124,20 +132,16 @@ def test_criterion_03_spectrum_law(aw_instances, racah_instances):
 
 def test_criterion_04_trace_and_determinant(aw_instances, racah_instances):
     with criterion(4, "trace and determinant identities"):
-        for family, instances in (("aw", aw_instances), ("racah", racah_instances)):
-            closed_trace = (
-                awspec.trace_closed_form if family == "aw" else racahspec.trace_closed_form
-            )
-            for p, _, mat in instances:
-                power = np.eye(p.N, dtype=complex)
-                for k in (1, 2, 3):
-                    power = power @ mat.entries
-                    target = complex(np.sum(mat.predicted**k))
-                    assert rel_residual(complex(np.trace(power)) - target, target) <= TRACE_DET_TOL
-                target = closed_trace(p)
-                assert rel_residual(complex(np.trace(mat.entries)) - target, target) <= TRACE_DET_TOL
-                target = det_closed_form(p)
-                assert rel_residual(determinant(mat.entries) - target, target) <= TRACE_DET_TOL
+        for p, _, mat in aw_instances + racah_instances:
+            power = np.eye(p.N, dtype=complex)
+            for k in (1, 2, 3):
+                power = power @ mat.entries
+                target = complex(np.sum(mat.predicted**k))
+                assert rel_residual(complex(np.trace(power)) - target, target) <= TRACE_DET_TOL
+            target = trace_closed_form(p)
+            assert rel_residual(complex(np.trace(mat.entries)) - target, target) <= TRACE_DET_TOL
+            target = det_closed_form(p)
+            assert rel_residual(determinant(mat.entries) - target, target) <= TRACE_DET_TOL
 
         # hand-derived N = 2 determinants
         aw2 = AWParams(a=2, b=3, c=0.25, d=0.2, q=0.5, N=2)  # abcd = 3/10
@@ -222,20 +226,20 @@ def test_criterion_07_flow_jacobian_consistency():
 def test_criterion_08_difference_operator_eigenrelations():
     with criterion(8, "q-difference eigen-relations"):
         p = AWParams(a=1.2, b=0.7 + 0.3j, c=-0.4, d=0.9, q=0.5, N=5)
-        expected = awspec.q_eigenvalue(p)
+        expected = q_eigenvalue(p)
         f = lambda z: aw_rational_eval(p, z)
         stream = SplitMix64(17)
         for _ in range(10):
             z = stream.next_param()
-            ratio = awspec.apply_Q_operator(p, f, z) / f(z)
+            ratio = apply_Q_operator(p, f, z) / f(z)
             assert abs(ratio - expected) <= EIGENRELATION_TOL * abs(expected)
 
         r = RacahParams(alpha=1.1, beta=0.6, gamma=0.8 + 0.2j, delta=1.3, q=0.5, N=5)
-        expected_r = racahspec.racah_eigenvalue(r)
+        expected_r = racah_eigenvalue(r)
         g = lambda z: racah_eval(r, z)[0]
         for _ in range(10):
             z = 3 * stream.next_param()
-            ratio = racahspec.apply_racah_difference(r, g, z) / g(z)
+            ratio = apply_racah_difference(r, g, z) / g(z)
             assert abs(ratio - expected_r) <= EIGENRELATION_TOL * abs(expected_r)
 
 

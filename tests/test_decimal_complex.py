@@ -229,7 +229,8 @@ def test_zeros_match_mpmath_polish_at_100_digits(seed, family, q, n):
         p = draw(SplitMix64(seed), q, n)
         decimal_zeros, _ = find_polynomial_zeros(recurrence_coefficients(p, hp=True))
         with mpmath.workdps(100):
-            rec = Recurrence(*map(tuple, build(p, mpmath.mpc)), dps=100)
+            diag, off, _ = build(p, mpmath.mpc)  # and the terms the diagonal sums
+            rec = Recurrence(tuple(diag), tuple(off), dps=100)
             oracle_zeros, _ = find_polynomial_zeros(rec)
     except QZerosError as exc:
         pytest.skip(f"draw raises {type(exc).__name__}")

@@ -7,18 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from monomial_oracle import monomial_coefficients
-from qzeros.errors import DegenerateDenominator, ZeroArgument
-from qzeros.polyform import (
-    AWParams,
-    RacahParams,
+from qseries_oracle import (
     aw_eval,
     aw_rational_eval,
+    phi43_terminating,
+    qpochhammer_multi,
     racah_eval,
-    recurrence_coefficients,
-    x_to_z,
-    z_to_x,
 )
-from qzeros.qkernel import phi43_terminating
+from qzeros.errors import DegenerateDenominator, ZeroArgument
+from qzeros.numlin import find_polynomial_zeros
+from qzeros.polyform import AWParams, RacahParams, recurrence_coefficients, x_to_z, z_to_x
 from qzeros.sweeps import SplitMix64
 
 AW_ANCHOR = AWParams(a=2, b=3, c=4, d=5, q=0.5, N=1)
@@ -133,8 +131,6 @@ class TestRationalForm:
 
     def test_matches_phi43_route(self):
         # P_N(z) = (ab,ac,ad;q)_N a^-N 4phi3(q^-N, abcd q^(N-1), az, a/z; ab, ac, ad)
-        from qzeros.qkernel import qpochhammer_multi
-
         p = AWParams(a=1.1, b=0.5, c=-0.7, d=1.3, q=0.45, N=4)
         prefactor = qpochhammer_multi((p.a * p.b, p.a * p.c, p.a * p.d), p.q, p.N) / p.a**p.N
         for z in (0.8 + 0.3j, -1.4 + 0.2j, 2.2):
@@ -280,6 +276,14 @@ class TestRecurrence:
             value, derivative = rec.value_and_derivative(x)
             assert value == rec.value(x)
             assert abs(derivative - fd) <= 1e-6 * (1 + abs(derivative))
+
+    def test_zero_diagonal_is_not_a_cancellation(self):
+        # a + 1/a = 2 = A_0 exactly: b_0 = 0, the zero sits at x = 0, and a Jacobi scale of 0
+        # must not read as a total cancellation of b_0's terms
+        p = AWParams(a=1, b=2, c=3, d=0, q=0.5, N=1)
+        rec = recurrence_coefficients(p, hp=True)
+        assert rec.b[0] == 0
+        assert find_polynomial_zeros(rec)[0] == [0]
 
     def test_lower_degree_drop_rejected(self):
         # abcd = 1 makes the degree-1 polynomial constant, so the recurrence breaks

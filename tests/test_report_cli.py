@@ -359,8 +359,9 @@ class TestUnrepresentableResidual:
         assert rel_residual(3 + 4j, 2.0) == 2.5
 
     def test_verify_fails_instead_of_raising(self, capsys):
-        # M overflows at a = 1e100; repeated in one process, every run is the same failed check
-        argv = ["verify", "--family", "aw", "-a", "1e100", "-b", "3", "-c", "4", "-d", "5",
+        # M^2 and det M overflow at b = c = 1e100; repeated in one process, every run is the
+        # same failed check (a = 1e100 exits 3 on the recurrence cancellation instead)
+        argv = ["verify", "--family", "aw", "-a", "2", "-b", "1e100", "-c", "1e100", "-d", "5",
                 "-q", "0.5", "-N", "4"]
         codes, outs = [], []
         for fmt in ("csv", "json", "csv"):
@@ -382,6 +383,72 @@ class TestUnrepresentableResidual:
         failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["pass"]]
         assert [c["name"] for c in failed] == [f"{record.corollary_ref}.3-det"]
         assert failed[0]["residual"] is None
+
+
+class TestRecurrenceCancellation:
+    @pytest.mark.parametrize("a", ["1e40", "1e100", "1e300", "1e-300"])
+    def test_extreme_a_exits_3_naming_the_cancellation(self, capsys, a):
+        # b_n = (a + 1/a - A_n - C_n)/2 sums terms of 1e40 and more into a b_n of order 1
+        argv = ["verify", "--family", "aw", "-a", a, "-b", "3", "-c", "4", "-d", "5",
+                "-q", "0.5", "-N", "3"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "b_n cancels catastrophically" in captured.err
+
+    @pytest.mark.parametrize("a", ["1e10", "1e20"])
+    def test_large_a_within_the_working_precision_is_a_failed_check(self, capsys, a):
+        argv = ["verify", "--family", "aw", "-a", a, "-b", "3", "-c", "4", "-d", "5",
+                "-q", "0.5", "-N", "3"]
+        assert main(argv) == 2
+        assert "cancels" not in capsys.readouterr().err
+
+
+def test_public_names():
+    import qzeros
+
+    assert sorted(qzeros.__all__) == [
+        "AWParams",
+        "BranchDegenerate",
+        "ComplexScalar",
+        "DEFAULT_TOLERANCES",
+        "DegenerateConfiguration",
+        "DegenerateDenominator",
+        "FlowState",
+        "LengthMismatch",
+        "NoConvergence",
+        "PerturbationState",
+        "QZerosError",
+        "RacahParams",
+        "Recurrence",
+        "SingularConfiguration",
+        "SingularTrajectory",
+        "SpectralMatrix",
+        "SpectrumMatch",
+        "VerificationReport",
+        "ZeroArgument",
+        "ZeroSet",
+        "__version__",
+        "aw_velocity",
+        "compute_zero_set",
+        "determinant",
+        "eigenvalues",
+        "emit_report",
+        "fd_jacobian",
+        "find_polynomial_zeros",
+        "integrate_flow",
+        "linearization_check",
+        "match_spectra",
+        "qpochhammer",
+        "racah_velocity",
+        "recurrence_coefficients",
+        "resolve_tolerances",
+        "velocity_for",
+        "x_to_z",
+        "z_to_x",
+    ]
+    for name in qzeros.__all__:
+        assert getattr(qzeros, name) is not None, name
 
 
 def test_readme_cli_examples_exit_0(capsys):
