@@ -39,16 +39,7 @@ from .polyform import (
 from .qkernel import ComplexScalar, qpochhammer
 from .report import PACKAGE_VERSION as __version__
 from .report import DEFAULT_TOLERANCES, VerificationReport, emit_report, resolve_tolerances
-from .zeroflow import (
-    FlowState,
-    PerturbationState,
-    aw_velocity,
-    fd_jacobian,
-    integrate_flow,
-    linearization_check,
-    racah_velocity,
-    velocity_for,
-)
+from .zeroflow import aw_velocity, fd_jacobian, integrate_flow, racah_velocity
 
 __all__ = [
     "AWParams",
@@ -57,10 +48,8 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "DegenerateConfiguration",
     "DegenerateDenominator",
-    "FlowState",
     "LengthMismatch",
     "NoConvergence",
-    "PerturbationState",
     "QZerosError",
     "RacahParams",
     "Recurrence",
@@ -80,13 +69,11 @@ __all__ = [
     "fd_jacobian",
     "find_polynomial_zeros",
     "integrate_flow",
-    "linearization_check",
     "match_spectra",
     "qpochhammer",
     "racah_velocity",
     "recurrence_coefficients",
     "resolve_tolerances",
-    "velocity_for",
     "x_to_z",
     "z_to_x",
 ]

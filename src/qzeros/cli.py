@@ -330,8 +330,7 @@ def run_verify(
     if worst is not None:
         report.add(f"{cor}.2-isospectral", worst, match_tol, [f"{cor}.2"])
 
-    point = zeroflow.FlowState(family=family.name, positions=family.position(zs), time=0.0)
-    jac = zeroflow.fd_jacobian(zeroflow.velocity_for(params), point)
+    jac = zeroflow.fd_jacobian(lambda y: family.velocity(params, y), family.position(zs))
     denom = np.maximum(np.abs(entries), 1e-3 * float(np.max(np.abs(entries))))
     residual = float(np.max(np.abs(jac - entries) / denom))
     report.add("flow-jacobian", residual, tols["fd_jacobian"], [family.flow_ref])
@@ -347,24 +346,26 @@ def _cmd_verify(args: argparse.Namespace, params, overrides: dict) -> tuple[str,
 def _cmd_flow(args: argparse.Namespace, params, overrides: dict) -> tuple[str, int]:
     zs = compute_zero_set(params)
     n = params.N
-    stream = SplitMix64(args.seed)
-    direction = np.asarray(unit_direction(stream, n))
-    try:
-        zeroflow.PerturbationState(base=zs, epsilon=args.epsilon, direction=direction)
-    except ValueError as exc:
-        print(f"qz: {exc}", file=sys.stderr)
+    direction = np.asarray(unit_direction(SplitMix64(args.seed), n))
+    # the start must stay a small displacement: well inside the gaps between the zeros
+    if not 0 < args.epsilon < 1e-3 * zs.min_separation:
+        print(
+            f"qz: epsilon {args.epsilon:.3e} must be positive and below 1e-3 times "
+            f"the zero separation {zs.min_separation:.3e}",
+            file=sys.stderr,
+        )
         return "", EXIT_USAGE
-    base = FAMILIES[args.family].position(zs)
-    start = zeroflow.FlowState(
-        family=args.family, positions=base + args.epsilon * direction, time=0.0
-    )
+    family = FAMILIES[args.family]
+    start = family.position(zs) + args.epsilon * direction
     dt_max = args.dt_max if args.dt_max is not None else args.t_end / 50.0
-    trajectory = zeroflow.integrate_flow(zeroflow.velocity_for(params), start, args.t_end, dt_max)
+    trajectory = zeroflow.integrate_flow(
+        lambda y: family.velocity(params, y), start, args.t_end, dt_max
+    )
     if args.output_format == "json":
         body = {
             "trajectory": [
-                {"step": i, "t": s.time, "positions": [_c(v) for v in s.positions]}
-                for i, s in enumerate(trajectory)
+                {"step": i, "t": t, "positions": [_c(v) for v in y]}
+                for i, (t, y) in enumerate(trajectory)
             ]
         }
         text = _emit_json(args, params, body)
@@ -373,9 +374,9 @@ def _cmd_flow(args: argparse.Namespace, params, overrides: dict) -> tuple[str, i
         for k in range(n):
             header += [f"re_{k}", f"im_{k}"]
         rows = []
-        for i, s in enumerate(trajectory):
-            row = [i, repr(float(s.time))]
-            for v in s.positions:
+        for i, (t, y) in enumerate(trajectory):
+            row = [i, repr(float(t))]
+            for v in y:
                 row += [repr(float(v.real)), repr(float(v.imag))]
             rows.append(row)
         text = _emit_csv(args, header, rows)

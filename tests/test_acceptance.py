@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from flow_oracle import linearization_check
 from qseries_oracle import (
     apply_Q_operator,
     apply_racah_difference,
@@ -27,7 +28,7 @@ from qzeros.numlin import compute_zero_set, determinant, eigenvalues, match_spec
 from qzeros.polyform import AWParams, RacahParams
 from qzeros.report import det_closed_form, rel_residual, trace_closed_form
 from qzeros.sweeps import SplitMix64, draw_aw_params, draw_racah_params, unit_direction
-from qzeros.zeroflow import FlowState
+from qzeros.zeroflow import FAMILIES
 
 AW_Q_GRID = (0.3, 0.6, 0.5 + 0.2j)
 RACAH_Q_GRID = (0.3, 0.6)
@@ -205,7 +206,7 @@ def test_criterion_07_flow_jacobian_consistency():
             p = draw_aw_params(stream, (0.3, 0.6)[n % 2], n)
             zs = compute_zero_set(p)
             m = awspec.build_matrix_M(p, zs)
-            jac = zeroflow.fd_jacobian(zeroflow.velocity_for(p), FlowState("aw", zs.xbar, 0.0))
+            jac = zeroflow.fd_jacobian(lambda y: FAMILIES["aw"].velocity(p, y), zs.xbar)
             norm = np.max(np.abs(m.entries))
             assert np.all(
                 np.abs(jac - m.entries)
@@ -215,7 +216,7 @@ def test_criterion_07_flow_jacobian_consistency():
             p = draw_racah_params(stream, (0.3, 0.6)[n % 2], n)
             zs = compute_zero_set(p)
             l = racahspec.build_matrix_L(p, zs)
-            jac = zeroflow.fd_jacobian(zeroflow.velocity_for(p), FlowState("racah", zs.zbar, 0.0))
+            jac = zeroflow.fd_jacobian(lambda y: FAMILIES["racah"].velocity(p, y), zs.zbar)
             norm = np.max(np.abs(l.entries))
             assert np.all(
                 np.abs(jac - l.entries)
@@ -279,10 +280,10 @@ def test_criterion_10_linearized_flow():
                 mat = racahspec.build_matrix_L(p, zs)
             t_short = 0.4 / np.linalg.norm(mat.entries, 2)
             direction = np.asarray(unit_direction(SplitMix64(1), 3))
-            dev_full = zeroflow.linearization_check(
+            dev_full = linearization_check(
                 p, zs, mat, 1e-6, t_short, direction
             ).checks[0].residual
-            dev_half = zeroflow.linearization_check(
+            dev_half = linearization_check(
                 p, zs, mat, 5e-7, t_short, direction
             ).checks[0].residual
             assert dev_full <= LINEARIZATION_TOL

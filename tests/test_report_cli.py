@@ -258,6 +258,27 @@ class TestCliErrorMapping:
         assert info.value.code == 4
 
 
+AW_N3 = ["--family", "aw", "-a", "2", "-b", "3", "-c", "4", "-d", "5", "-q", "0.5", "-N", "3"]
+
+
+class TestExitCodeTable:
+    # the exit code of each input at the edge of what qz admits; none may raise out of main
+    TABLE = {
+        "flow epsilon 0": (["flow", *AW_N3, "--epsilon", "0"], 4),
+        "flow epsilon beyond the zero separation": (["flow", *AW_N3, "--epsilon", "1"], 4),
+    }
+
+    @pytest.mark.parametrize("case", TABLE)
+    def test_exit_code(self, case, capsys):
+        argv, expected = self.TABLE[case]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code == expected
+
+
 def _racah_seed0_q06_n24_argv():
     # the seed-0 q-Racah draw at q = 0.6, N = 24 trips the z_n^(-)-z_m guard: exit 3
     p = draw_racah_params(SplitMix64(0), 0.6, 24)
@@ -414,10 +435,8 @@ def test_public_names():
         "DEFAULT_TOLERANCES",
         "DegenerateConfiguration",
         "DegenerateDenominator",
-        "FlowState",
         "LengthMismatch",
         "NoConvergence",
-        "PerturbationState",
         "QZerosError",
         "RacahParams",
         "Recurrence",
@@ -437,13 +456,11 @@ def test_public_names():
         "fd_jacobian",
         "find_polynomial_zeros",
         "integrate_flow",
-        "linearization_check",
         "match_spectra",
         "qpochhammer",
         "racah_velocity",
         "recurrence_coefficients",
         "resolve_tolerances",
-        "velocity_for",
         "x_to_z",
         "z_to_x",
     ]

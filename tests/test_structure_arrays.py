@@ -21,7 +21,7 @@ from qzeros.errors import (
 )
 from qzeros.numlin import compute_zero_set
 from qzeros.sweeps import SplitMix64, draw_aw_params, draw_racah_params, unit_direction
-from qzeros.zeroflow import FlowState
+from qzeros.zeroflow import FAMILIES
 
 SEEDS = range(4)
 Q_GRID = (0.3, 0.6, 0.5 + 0.2j, -0.4)
@@ -60,11 +60,11 @@ class TestScalarOracle:
         for seed, p, zs in draws(family, q, n):
             if family == "aw":
                 positions = displaced(zs.xbar, seed)
-                run = lambda: zeroflow.aw_velocity(p, FlowState("aw", positions, 0.0))
+                run = lambda: zeroflow.aw_velocity(p, positions)
                 scalar = lambda: oracle.aw_velocity(p, positions)
             else:
                 positions = displaced(zs.zbar, seed)
-                run = lambda: zeroflow.racah_velocity(p, FlowState("racah", positions, 0.0))
+                run = lambda: zeroflow.racah_velocity(p, positions)
                 scalar = lambda: oracle.racah_velocity(p, positions)
             try:
                 expected = scalar()
@@ -109,7 +109,7 @@ class TestGuards:
         xs = zs.xbar.copy()
         xs[2] = xs[1]
         with pytest.raises(SingularConfiguration) as info:
-            zeroflow.aw_velocity(p, FlowState("aw", xs, 0.0))
+            zeroflow.aw_velocity(p, xs)
         assert info.value.guard == "z_n-z_m"
         assert info.value.magnitude == 0.0
         zb = zs.zbar.copy()
@@ -124,7 +124,7 @@ class TestGuards:
         z = zs.zbar.copy()
         z[3] = z[0]
         with pytest.raises(SingularConfiguration) as info:
-            zeroflow.racah_velocity(p, FlowState("racah", z, 0.0))
+            zeroflow.racah_velocity(p, z)
         assert info.value.guard == "z_n-z_m"
         assert info.value.magnitude == 0.0
 
@@ -146,9 +146,8 @@ class TestGuards:
     def test_vanishing_z_image_names_z(self):
         # x + sqrt(x^2 - 1) rounds to 0 at large negative x; 1/z is formed before the guard
         p = draw_aw_params(SplitMix64(0), 0.6, 2)
-        state = FlowState("aw", np.array([-1e10 + 0j, 0.3]), 0.0)
         with pytest.raises(SingularConfiguration) as info:
-            zeroflow.aw_velocity(p, state)
+            zeroflow.aw_velocity(p, np.array([-1e10 + 0j, 0.3]))
         assert (info.value.guard, info.value.magnitude) == ("z", 0.0)
 
     def test_first_failing_point_wins_over_guard_order(self):
@@ -166,16 +165,16 @@ class TestGuards:
         z = zs.zbar.copy()
         z[1] = 2 * np.sqrt(p.gammadelta * p.q)
         with pytest.raises(BranchDegenerate):
-            zeroflow.racah_velocity(p, FlowState("racah", z, 0.0))
+            zeroflow.racah_velocity(p, z)
 
     def test_guard_trip_mid_flow_is_singular_trajectory(self):
         p = draw_aw_params(SplitMix64(0), 0.6, 4)
         zs = compute_zero_set(p, polish=False)
         xs = zs.xbar.copy()
         xs[3] = xs[0]
-        start = FlowState("aw", xs, 0.0)
+        rhs = lambda y: FAMILIES["aw"].velocity(p, y)
         with pytest.raises(SingularTrajectory) as info:
-            zeroflow.integrate_flow(zeroflow.velocity_for(p), start, t_end=0.01, dt_max=0.001)
+            zeroflow.integrate_flow(rhs, xs, t_end=0.01, dt_max=0.001)
         assert "z_n-z_m" in str(info.value)
         assert isinstance(info.value.__cause__, SingularConfiguration)
 
