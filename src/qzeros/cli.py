@@ -10,6 +10,7 @@ numerical degeneracy or I/O failure, 4 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import math
 import sys
@@ -65,9 +66,12 @@ class _Parser(argparse.ArgumentParser):
 def parse_complex(text: str) -> complex:
     cleaned = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid complex literal {text!r}")
+    if not cmath.isfinite(value):  # nan, or a literal beyond the double range
+        raise argparse.ArgumentTypeError(f"complex literal {text!r} is not finite")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -144,6 +148,13 @@ def _config_from_args(
 
     if args.N < 1:
         parser.error("degree N must be at least 1 (a degree-0 polynomial has no zeros)")
+    if args.command == "flow":
+        if not 0 < args.t_end < math.inf:
+            parser.error(f"--t-end must be finite and positive, got {args.t_end}")
+        if args.dt_max is not None and not args.dt_max > 0:
+            parser.error(f"--dt-max must be positive, got {args.dt_max}")
+    if args.command == "sweep" and args.count < 1:
+        parser.error(f"--count must be at least 1, got {args.count}")
 
     params: Union[AWParams, RacahParams, None] = None
     if args.command != "sweep":
@@ -304,7 +315,8 @@ def run_verify(
     try:
         det_target = det_closed_form(params)
         residual = rel_residual(determinant(entries) - det_target, det_target)
-    except OverflowError:  # q^(-N^2) is beyond the double range: the check cannot pass
+    except (OverflowError, ZeroDivisionError):
+        # q^(-N^2) is beyond the double range (q^(N^2) underflows to 0): the check cannot pass
         residual = math.inf
     report.add(f"{cor}.3-det", residual, match_tol, [f"{cor}.3"])
     if sweep:

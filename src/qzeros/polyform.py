@@ -45,6 +45,21 @@ def _check_poch_column(label: str, c: complex, q: complex, upto: int) -> None:
         cqk *= q
 
 
+def _check_degree(p, product: str) -> None:
+    # Degree is exactly N only if the m = N coefficient survives, and the powers
+    # of q that it needs must be representable.
+    q, n = p.q, p.N
+    try:
+        if qpochhammer(q**-n, q, n) == 0:
+            raise DegenerateDenominator("(q^-N;q)_N = 0: q is a low-order root of unity")
+        if qpochhammer(p.product * q ** (n + p.shift), q, n) == 0:
+            raise DegenerateDenominator(
+                f"({product} q^(N{p.shift:+d});q)_N = 0: leading coefficient vanishes"
+            )
+    except (OverflowError, ZeroDivisionError):  # complex ** raises both out of range
+        raise ValueError(f"q^(+-N) is beyond the double range at q = {q}, N = {n}") from None
+
+
 @dataclass(frozen=True)
 class AWParams:
     """The four Askey-Wilson parameters, the base q, and the degree N.
@@ -75,11 +90,7 @@ class AWParams:
         _check_poch_column("ab", a * b, q, self.N)
         _check_poch_column("ac", a * c, q, self.N)
         _check_poch_column("ad", a * d, q, self.N)
-        # Degree is exactly N only if the m = N coefficient survives.
-        if qpochhammer(q ** -self.N, q, self.N) == 0:
-            raise DegenerateDenominator("(q^-N;q)_N = 0: q is a low-order root of unity")
-        if qpochhammer(self.abcd * q ** (self.N - 1), q, self.N) == 0:
-            raise DegenerateDenominator("(abcd q^(N-1);q)_N = 0: leading coefficient vanishes")
+        _check_degree(self, "abcd")
 
     @property
     def abcd(self) -> ComplexScalar:
@@ -118,12 +129,7 @@ class RacahParams:
         _check_poch_column("alpha*q", al * q, q, self.N)
         _check_poch_column("beta*delta*q", be * de * q, q, self.N)
         _check_poch_column("gamma*q", ga * q, q, self.N)
-        if qpochhammer(q ** -self.N, q, self.N) == 0:
-            raise DegenerateDenominator("(q^-N;q)_N = 0: q is a low-order root of unity")
-        if qpochhammer(self.alphabeta * q ** (self.N + 1), q, self.N) == 0:
-            raise DegenerateDenominator(
-                "(alpha*beta q^(N+1);q)_N = 0: leading coefficient vanishes"
-            )
+        _check_degree(self, "alpha*beta")
 
     @property
     def alphabeta(self) -> ComplexScalar:

@@ -120,7 +120,7 @@ def as_rational(x: complex, max_denominator: int = 10**6) -> Optional[Fraction]:
         return None
     re = complex(x).real
     fr = Fraction(re).limit_denominator(max_denominator)
-    if abs(float(fr) - re) <= 1e-12 * max(1.0, abs(re)):
+    if abs(float(fr) - re) <= 1e-12 * abs(re):  # relative: a tiny q is not 0
         return fr
     return None
 

@@ -52,6 +52,13 @@ class TestComplexParsing:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_complex("nope")
 
+    @pytest.mark.parametrize("text", ["nan", "1e400", "1+nani", "2-1e400j"])
+    def test_non_finite_rejected(self, text):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError, match="not finite"):
+            parse_complex(text)
+
 
 class TestTolerances:
     def test_defaults(self):
@@ -261,11 +268,34 @@ class TestCliErrorMapping:
 AW_N3 = ["--family", "aw", "-a", "2", "-b", "3", "-c", "4", "-d", "5", "-q", "0.5", "-N", "3"]
 
 
+def _aw_verify(a="2", q="0.5", n="3"):
+    return ["verify", "--family", "aw", "-a", a, "-b", "3", "-c", "4", "-d", "5", "-q", q, "-N", n]
+
+
 class TestExitCodeTable:
     # the exit code of each input at the edge of what qz admits; none may raise out of main
     TABLE = {
+        "flow t-end 0": (["flow", *AW_N3, "--t-end", "0"], 4),
+        "flow t-end -1": (["flow", *AW_N3, "--t-end", "-1"], 4),
+        "flow t-end nan": (["flow", *AW_N3, "--t-end", "nan"], 4),
+        "flow t-end inf": (["flow", *AW_N3, "--t-end", "inf"], 4),
+        "flow dt-max 0": (["flow", *AW_N3, "--dt-max", "0"], 4),
+        "flow dt-max -0.1": (["flow", *AW_N3, "--dt-max", "-0.1"], 4),
         "flow epsilon 0": (["flow", *AW_N3, "--epsilon", "0"], 4),
         "flow epsilon beyond the zero separation": (["flow", *AW_N3, "--epsilon", "1"], 4),
+        "sweep count 0": (["sweep", "--family", "aw", "-q", "0.5", "-N", "3", "--count", "0"], 4),
+        "sweep count -3": (["sweep", "--family", "aw", "-q", "0.5", "-N", "3", "--count", "-3"], 4),
+        "a nan": (_aw_verify(a="nan"), 4),
+        "q nan": (_aw_verify(q="nan"), 4),
+        "a 1e400 overflows": (_aw_verify(a="1e400"), 4),
+        "q inf": (_aw_verify(q="inf"), 4),
+        "q^-N overflows": (_aw_verify(q="0.3", n="600"), 4),
+        "q^(N-1) overflows": (_aw_verify(q="1e200"), 4),
+        "q^N underflows": (_aw_verify(q="1e-300"), 4),
+        # a tiny q is no rational 0; at 1e-100 the det's q^(-N^2) leaves the double range
+        "q 1e-13": (_aw_verify(q="1e-13"), 0),
+        "q 1e-30": (_aw_verify(q="1e-30"), 0),
+        "q 1e-100": (_aw_verify(q="1e-100"), 2),
     }
 
     @pytest.mark.parametrize("case", TABLE)
