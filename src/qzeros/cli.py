@@ -326,7 +326,7 @@ def run_verify(
     if qfrac is not None and prodfrac is not None:
         exact = spectrum_closed_form(qfrac, prodfrac, params.shift, params.N)
         match = match_spectra(spectrum, np.array([float(f) for f in exact], dtype=complex))
-        report.add(f"{cor}.1-diophantine", match.max_abs_gap, tols["diophantine"], [f"{cor}.1"])
+        report.add(f"{cor}.1-diophantine", match.max_rel_gap, tols["diophantine"], [f"{cor}.1"])
 
     worst = None
     for t in ISOSPECTRAL_T_VALUES:
