@@ -45,7 +45,7 @@ def _check_poch_column(label: str, c: complex, q: complex, upto: int) -> None:
         cqk *= q
 
 
-def _check_degree(p, product: str) -> None:
+def _check_degree(p: "AWParams | RacahParams", product: str) -> None:
     # Degree is exactly N only if the m = N coefficient survives, and the powers
     # of q that it needs must be representable.
     q, n = p.q, p.N

@@ -115,14 +115,13 @@ def rel_residual(delta: complex, target: complex) -> float:
 
 
 def as_rational(x: complex, max_denominator: int = 10**6) -> Optional[Fraction]:
-    """The exact rational a float encodes, or None if it does not look rational."""
-    if abs(complex(x).imag) > 1e-12:
-        return None
-    re = complex(x).real
-    fr = Fraction(re).limit_denominator(max_denominator)
-    if abs(float(fr) - re) <= 1e-12 * abs(re):  # relative: a tiny q is not 0
-        return fr
-    return None
+    """The exact rational a float encodes, or None if it does not look rational.
+
+    The gap is relative to |x|, so a tiny q, real or imaginary, is not the rational 0.
+    """
+    x = complex(x)
+    fr = Fraction(x.real).limit_denominator(max_denominator)
+    return fr if abs(x - float(fr)) <= 1e-12 * abs(x) else None
 
 
 def spectrum_closed_form(q, product, shift: int, N: int) -> list:

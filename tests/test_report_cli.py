@@ -52,13 +52,6 @@ class TestComplexParsing:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_complex("nope")
 
-    @pytest.mark.parametrize("text", ["nan", "1e400", "1+nani", "2-1e400j"])
-    def test_non_finite_rejected(self, text):
-        import argparse
-
-        with pytest.raises(argparse.ArgumentTypeError, match="not finite"):
-            parse_complex(text)
-
 
 class TestTolerances:
     def test_defaults(self):
@@ -289,12 +282,14 @@ class TestExitCodeTable:
         "q nan": (_aw_verify(q="nan"), 4),
         "a 1e400 overflows": (_aw_verify(a="1e400"), 4),
         "q inf": (_aw_verify(q="inf"), 4),
+        "q with a nan part": (_aw_verify(q="0.5+nani"), 4),
         "q^-N overflows": (_aw_verify(q="0.3", n="600"), 4),
         "q^(N-1) overflows": (_aw_verify(q="1e200"), 4),
         "q^N underflows": (_aw_verify(q="1e-300"), 4),
         # a tiny q is no rational 0; at 1e-100 the det's q^(-N^2) leaves the double range
         "q 1e-13": (_aw_verify(q="1e-13"), 0),
         "q 1e-30": (_aw_verify(q="1e-30"), 0),
+        "q 1e-13i": (_aw_verify(q="1e-13i"), 0),
         "q 1e-100": (_aw_verify(q="1e-100"), 2),
     }
 
