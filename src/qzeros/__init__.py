@@ -23,7 +23,6 @@ from .numlin import (
     SpectrumMatch,
     ZeroSet,
     compute_zero_set,
-    determinant,
     eigenvalues,
     find_polynomial_zeros,
     match_spectra,
@@ -63,7 +62,6 @@ __all__ = [
     "__version__",
     "aw_velocity",
     "compute_zero_set",
-    "determinant",
     "eigenvalues",
     "emit_report",
     "fd_jacobian",

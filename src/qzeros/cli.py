@@ -20,13 +20,12 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import QZerosError, SingularTrajectory
-from .numlin import compute_zero_set, determinant, eigenvalues, match_spectra
-from .polyform import AWParams, RacahParams
+from .numlin import compute_zero_set, eigenvalues, match_spectra
+from .polyform import AWParams, RacahParams, check_base
 from .report import (
     VerificationReport,
     _c,
     as_rational,
-    det_closed_form,
     emit_report,
     envelope,
     rel_residual,
@@ -157,16 +156,18 @@ def _config_from_args(
         parser.error(f"--count must be at least 1, got {args.count}")
 
     params: Union[AWParams, RacahParams, None] = None
-    if args.command != "sweep":
-        family = FAMILIES[args.family]
-        missing = [flag for name, flag in family.flags.items() if getattr(args, name) is None]
-        if missing:
-            parser.error(f"family {family.name} requires {' '.join(missing)}")
-        values = {name: getattr(args, name) for name in family.flags}
-        try:
+    family = FAMILIES[args.family]
+    try:
+        if args.command == "sweep":
+            check_base(args.q, args.N)  # each drawn set checks the rest
+        else:
+            missing = [flag for name, flag in family.flags.items() if getattr(args, name) is None]
+            if missing:
+                parser.error(f"family {family.name} requires {' '.join(missing)}")
+            values = {name: getattr(args, name) for name in family.flags}
             params = family.params_type(**values, q=args.q, N=args.N)
-        except (QZerosError, ValueError) as exc:
-            parser.error(f"inadmissible parameters: {exc}")
+    except (QZerosError, ValueError) as exc:
+        parser.error(f"inadmissible parameters: {exc}")
 
     return params, overrides
 
@@ -312,12 +313,13 @@ def run_verify(
         closed = trace_closed_form(params)
         residual = rel_residual(complex(np.trace(entries)) - closed, closed)
         report.add(f"{cor}.3-trace-closed-form", residual, match_tol, [f"{cor}.3"])
-    try:
-        det_target = det_closed_form(params)
-        residual = rel_residual(determinant(entries) - det_target, det_target)
-    except (OverflowError, ZeroDivisionError):
-        # q^(-N^2) is beyond the double range (q^(N^2) underflows to 0): the check cannot pass
-        residual = math.inf
+    # det = mu_1 ... mu_N, compared in log space: q^(-N^2) may leave the double range. The
+    # logs are complex (real mu may be negative); a singular matrix has log(sign) = -inf and
+    # gives ratio 0, and a ratio beyond the double range gives an inf residual
+    sign, logabsdet = np.linalg.slogdet(entries)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_ratio = np.log(complex(sign)) + logabsdet - np.sum(np.log(predicted.astype(complex)))
+        residual = abs(np.exp(log_ratio) - 1)
     report.add(f"{cor}.3-det", residual, match_tol, [f"{cor}.3"])
     if sweep:
         return report

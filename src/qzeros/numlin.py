@@ -1,4 +1,4 @@
-"""Numerical kernels: zero finding, eigenvalues, determinants, matching.
+"""Numerical kernels: zero finding, eigenvalues, spectrum matching.
 
 Zero finding follows Golub & Welsch (Math. Comp. 23, 1969): the N zeros of
 a family polynomial are the eigenvalues of the N x N tridiagonal (Jacobi)
@@ -214,14 +214,6 @@ def eigenvalues(mat: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
         raise NoConvergence(f"eigenvalue iteration did not converge: {exc}") from exc
-
-
-def determinant(mat: np.ndarray) -> ComplexScalar:
-    """Determinant via LU with partial pivoting (signed product of pivots)."""
-    m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return complex(np.linalg.det(m))
 
 
 def match_spectra(

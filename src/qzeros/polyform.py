@@ -30,9 +30,27 @@ from .errors import DegenerateDenominator, NoConvergence, ZeroArgument
 from .qkernel import ComplexScalar, qpochhammer
 
 
-def _check_q(q: complex) -> None:
+def check_base(q: complex, n: int) -> None:
+    """Reject a base q and degree N that no parameter set admits.
+
+    q must differ from 0 and 1 and must not be a root of unity of order at
+    most N, where (q^-N;q)_N = 0; q^(+-N) must lie in the double range.
+    """
     if q == 0 or q == 1:
         raise ValueError(f"q must differ from 0 and 1, got {q}")
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    with _double_range(q, n):
+        if qpochhammer(q**-n, q, n) == 0:
+            raise DegenerateDenominator("(q^-N;q)_N = 0: q is a low-order root of unity")
+
+
+@contextlib.contextmanager
+def _double_range(q: complex, n: int):
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):  # complex ** raises both out of range
+        raise ValueError(f"q^(+-N) is beyond the double range at q = {q}, N = {n}") from None
 
 
 def _check_poch_column(label: str, c: complex, q: complex, upto: int) -> None:
@@ -49,15 +67,11 @@ def _check_degree(p: "AWParams | RacahParams", product: str) -> None:
     # Degree is exactly N only if the m = N coefficient survives, and the powers
     # of q that it needs must be representable.
     q, n = p.q, p.N
-    try:
-        if qpochhammer(q**-n, q, n) == 0:
-            raise DegenerateDenominator("(q^-N;q)_N = 0: q is a low-order root of unity")
+    with _double_range(q, n):
         if qpochhammer(p.product * q ** (n + p.shift), q, n) == 0:
             raise DegenerateDenominator(
                 f"({product} q^(N{p.shift:+d});q)_N = 0: leading coefficient vanishes"
             )
-    except (OverflowError, ZeroDivisionError):  # complex ** raises both out of range
-        raise ValueError(f"q^(+-N) is beyond the double range at q = {q}, N = {n}") from None
 
 
 @dataclass(frozen=True)
@@ -81,9 +95,7 @@ class AWParams:
     N: int
 
     def __post_init__(self):
-        _check_q(self.q)
-        if self.N < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.N}")
+        check_base(self.q, self.N)
         if self.a == 0:
             raise ValueError("parameter a must be nonzero (the sum divides by a^N)")
         a, b, c, d, q = self.a, self.b, self.c, self.d, self.q
@@ -122,9 +134,7 @@ class RacahParams:
     N: int
 
     def __post_init__(self):
-        _check_q(self.q)
-        if self.N < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.N}")
+        check_base(self.q, self.N)
         al, be, ga, de, q = self.alpha, self.beta, self.gamma, self.delta, self.q
         _check_poch_column("alpha*q", al * q, q, self.N)
         _check_poch_column("beta*delta*q", be * de * q, q, self.N)

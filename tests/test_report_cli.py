@@ -1,7 +1,10 @@
 import csv
+import dataclasses
 import io
 import json
+import math
 
+import numpy as np
 import pytest
 
 from qzeros.cli import main, parse_complex
@@ -12,7 +15,6 @@ from qzeros.report import (
     render_report_csv,
     render_report_json,
     resolve_tolerances,
-    tolerance_scale,
 )
 from qzeros.sweeps import SplitMix64, draw_racah_params
 from qzeros.zeroflow import FAMILIES
@@ -55,27 +57,22 @@ class TestComplexParsing:
 
 class TestTolerances:
     def test_defaults(self):
-        tols = resolve_tolerances(env={})
+        tols = resolve_tolerances()
         assert tols == DEFAULT_TOLERANCES
 
     def test_override(self):
-        tols = resolve_tolerances({"spectrum_match": 1e-3}, env={})
+        tols = resolve_tolerances({"spectrum_match": 1e-3})
         assert tols["spectrum_match"] == 1e-3
         assert tols["identity_residual"] == DEFAULT_TOLERANCES["identity_residual"]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            resolve_tolerances({"bogus": 1.0}, env={})
+            resolve_tolerances({"bogus": 1.0})
 
-    def test_env_scale(self):
-        tols = resolve_tolerances(env={"QZ_TOL_SCALE": "10"})
-        assert tols["fd_jacobian"] == pytest.approx(10 * DEFAULT_TOLERANCES["fd_jacobian"])
-
-
-    def test_scale_parsing(self):
-        assert tolerance_scale({}) == 1.0
-        assert tolerance_scale({"QZ_TOL_SCALE": ""}) == 1.0
-        assert tolerance_scale({"QZ_TOL_SCALE": "1e-3"}) == 1e-3
+    @pytest.mark.parametrize("value", [0.0, -1e-6, float("inf"), float("nan")])
+    def test_nonpositive_or_nonfinite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            resolve_tolerances({"spectrum_match": value})
 
 
 class TestReportRendering:
@@ -187,9 +184,8 @@ class TestCliCommands:
             main(["verify", *args])
         assert info.value.code == 4
 
-    def test_check_failure_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setenv("QZ_TOL_SCALE", "1e-20")
-        code = main(["verify", *AW_ARGS])
+    def test_check_failure_exit_code(self, capsys):
+        code = main(["verify", *AW_ARGS, "--tol", "spectrum_match=1e-300"])
         capsys.readouterr()
         assert code == 2
 
@@ -265,6 +261,14 @@ def _aw_verify(a="2", q="0.5", n="3"):
     return ["verify", "--family", "aw", "-a", a, "-b", "3", "-c", "4", "-d", "5", "-q", q, "-N", n]
 
 
+#: Fails only cor2.2.2-isospectral (4.7e-5 against 1e-6), in either format.
+AW_LARGE_A_CSV = [*_aw_verify(a="1e10"), "--format", "csv"]
+
+
+def _sweep(q="0.5", n="3", count="1"):
+    return ["sweep", "--family", "aw", "-q", q, "-N", n, "--count", count]
+
+
 class TestExitCodeTable:
     # the exit code of each input at the edge of what qz admits; none may raise out of main
     TABLE = {
@@ -276,8 +280,22 @@ class TestExitCodeTable:
         "flow dt-max -0.1": (["flow", *AW_N3, "--dt-max", "-0.1"], 4),
         "flow epsilon 0": (["flow", *AW_N3, "--epsilon", "0"], 4),
         "flow epsilon beyond the zero separation": (["flow", *AW_N3, "--epsilon", "1"], 4),
-        "sweep count 0": (["sweep", "--family", "aw", "-q", "0.5", "-N", "3", "--count", "0"], 4),
-        "sweep count -3": (["sweep", "--family", "aw", "-q", "0.5", "-N", "3", "--count", "-3"], 4),
+        "sweep count 0": (_sweep(count="0"), 4),
+        "sweep count -3": (_sweep(count="-3"), 4),
+        # q and N are checked before any draw, as for every other subcommand
+        "sweep q^-N overflows": (_sweep(q="0.3", n="600"), 4),
+        "sweep q 1": (_sweep(q="1"), 4),
+        "sweep q 0": (_sweep(q="0"), 4),
+        "sweep q -1 root of unity": (_sweep(q="-1"), 4),
+        "sweep q 0.3 N 24": (_sweep(q="0.3", n="24"), 0),
+        # a tolerance is finite and positive; no setting turns the failing run into a pass
+        "failing run": (AW_LARGE_A_CSV, 2),
+        "failing run, tol inf": ([*AW_LARGE_A_CSV, "--tol", "spectrum_match=inf"], 4),
+        "failing run, tol nan": ([*_aw_verify(a="1e10"), "--tol", "spectrum_match=nan"], 4),
+        "failing run, tol inf json": ([*_aw_verify(a="1e10"), "--tol", "spectrum_match=inf"], 4),
+        "tol 0": ([*_aw_verify(), "--tol", "fd_jacobian=0"], 4),
+        "tol -1e-6": ([*_aw_verify(), "--tol", "identity_residual=-1e-6"], 4),
+        "failing run, QZ_TOL_SCALE inf": (AW_LARGE_A_CSV, 2),
         "a nan": (_aw_verify(a="nan"), 4),
         "q nan": (_aw_verify(q="nan"), 4),
         "a 1e400 overflows": (_aw_verify(a="1e400"), 4),
@@ -286,16 +304,21 @@ class TestExitCodeTable:
         "q^-N overflows": (_aw_verify(q="0.3", n="600"), 4),
         "q^(N-1) overflows": (_aw_verify(q="1e200"), 4),
         "q^N underflows": (_aw_verify(q="1e-300"), 4),
-        # a tiny q is no rational 0; at 1e-100 the det's q^(-N^2) leaves the double range
+        # a tiny q is no rational 0; at 1e-100 the trace powers mu_n^2 leave the double range
         "q 1e-13": (_aw_verify(q="1e-13"), 0),
         "q 1e-30": (_aw_verify(q="1e-30"), 0),
         "q 1e-13i": (_aw_verify(q="1e-13i"), 0),
         "q 1e-100": (_aw_verify(q="1e-100"), 2),
     }
 
+    #: environment variables set for a case
+    ENV = {"failing run, QZ_TOL_SCALE inf": {"QZ_TOL_SCALE": "inf"}}
+
     @pytest.mark.parametrize("case", TABLE)
-    def test_exit_code(self, case, capsys):
+    def test_exit_code(self, case, capsys, monkeypatch):
         argv, expected = self.TABLE[case]
+        for name, value in self.ENV.get(case, {}).items():
+            monkeypatch.setenv(name, value)
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -405,7 +428,7 @@ class TestUnrepresentableResidual:
         assert rel_residual(3 + 4j, 2.0) == 2.5
 
     def test_verify_fails_instead_of_raising(self, capsys):
-        # M^2 and det M overflow at b = c = 1e100; repeated in one process, every run is the
+        # M^2 overflows at b = c = 1e100; repeated in one process, every run is the
         # same failed check (a = 1e100 exits 3 on the recurrence cancellation instead)
         argv = ["verify", "--family", "aw", "-a", "2", "-b", "1e100", "-c", "1e100", "-d", "5",
                 "-q", "0.5", "-N", "4"]
@@ -416,19 +439,57 @@ class TestUnrepresentableResidual:
         assert codes == [2, 2, 2]
         assert outs[0] == outs[2]
 
+
+
+class TestLogSpaceDeterminant:
     @pytest.mark.parametrize("family", ["aw", "racah"])
-    @pytest.mark.parametrize("n", [25, 32])
-    def test_det_closed_form_overflow_fails_only_the_det_check(self, capsys, family, n):
-        # q^(-N^2) = 0.3^(-625) and beyond exceeds the double range from N = 25 on
+    @pytest.mark.parametrize("n", [25, 32, 48])
+    def test_seed0_q03_large_n_passes(self, capsys, family, n):
+        # det M = q^(-N^2) ... = 0.3^(-625) and beyond leaves the double range from N = 25
+        # on; the check compares det and the spectrum's product in log space
         record = FAMILIES[family]
         params = record.draw(SplitMix64(0), 0.3 + 0j, n)
         argv = ["verify", "--family", family, "-q", "0.3", "-N", str(n)]
         for name, flag in record.flags.items():
             argv += [flag, repr(complex(getattr(params, name)))]
-        assert main(argv) == 2
-        failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["pass"]]
-        assert [c["name"] for c in failed] == [f"{record.corollary_ref}.3-det"]
-        assert failed[0]["residual"] is None
+        assert main(argv) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks[f"{record.corollary_ref}.3-det"]["residual"] <= 1e-11
+
+    def test_real_typed_parameters(self):
+        # the README example: real-typed parameters, real negative eigenvalues, whose
+        # real logarithm would be NaN
+        from qzeros.cli import run_verify
+
+        report = run_verify(AWParams(a=2, b=3, c=4, d=5, q=0.5, N=3))
+        (det,) = [c for c in report.checks if c.name == "cor2.2.3-det"]
+        assert det.passed and det.residual <= 1e-13
+
+    def test_singular_matrix_fails(self, monkeypatch):
+        from qzeros import cli
+        from qzeros.numlin import SpectralMatrix
+
+        def singular(params, zs):
+            return SpectralMatrix(np.zeros((3, 3)), np.array([1.0, -2.0, 3.0]), "M")
+
+        monkeypatch.setitem(
+            cli.FAMILIES, "aw", dataclasses.replace(FAMILIES["aw"], build_matrix=singular)
+        )
+        report = cli.run_verify(AWParams(a=2, b=3, c=4, d=5, q=0.5, N=3), sweep=True)
+        assert report.checks[-1].name == "cor2.2.3-det"
+        assert report.checks[-1].residual == 1.0 and not report.checks[-1].passed
+
+    @pytest.mark.parametrize("s", [-1, 1])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_spectrum_product_is_the_closed_form_exactly(self, n, s):
+        from fractions import Fraction
+
+        from qseries_oracle import det_closed_form
+        from qzeros.report import spectrum_closed_form
+
+        q, product = Fraction(2, 3), Fraction(-5, 7)
+        mu = spectrum_closed_form(q, product, s, n)
+        assert math.prod(mu) == det_closed_form(q, product, s, n)
 
 
 class TestRecurrenceCancellation:
@@ -475,7 +536,6 @@ def test_public_names():
         "__version__",
         "aw_velocity",
         "compute_zero_set",
-        "determinant",
         "eigenvalues",
         "emit_report",
         "fd_jacobian",
