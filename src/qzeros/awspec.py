@@ -24,8 +24,6 @@ digits in numlin's ZeroSet.identity_residuals, the loop shared with q-Racah.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import guard as _guard
@@ -98,28 +96,33 @@ def _kernel_matrix(q: ComplexScalar, w: np.ndarray) -> np.ndarray:
     return k
 
 
-@dataclass
-class AWStructureEval:
-    """Structure functions at the zeros and their reciprocals, as arrays.
+def _matrix_half(
+    q: ComplexScalar, w: np.ndarray, G: np.ndarray, Gp: np.ndarray, K: np.ndarray
+) -> np.ndarray:
+    """One symmetrization half of M, on coordinates w (either z or 1/z)."""
+    n = len(w)
+    rows, cols = _off_diagonal(n)
+    wi, wm = w[rows], w[cols]
+    d1 = wm - q * wi
+    d2 = q * wi * wm - 1.0
+    d3 = wm - wi
+    d4 = wi * wm - 1.0
+    # d3 and d4 are K's denominators, which eval_K has guarded on these same values
+    _guard((abs(d1), "z_m-q*z_n"), (abs(d2), "q*z_n*z_m-1"))
+    prod_k = np.prod(K, axis=1)
+    pref = 2.0 * w * w / (w * w - 1.0)
+    diag_sum = (-q / d1 + q * wm / d2 + 1.0 / d3 - wm / d4).reshape(n, n - 1).sum(axis=1)
+    bracket = 1.0 / d1 + q * wi / d2 - 1.0 / d3 - wi / d4
+    half = np.diag((pref * G * diag_sum + pref * Gp) * prod_k)
+    half[rows, cols] = pref[cols] * G[rows] * bracket * prod_k[rows]
+    return half
 
-    The *_plus arrays hold values at z_n, the *_minus arrays at 1/z_n;
-    K_plus[n, l] = K(z_n, z_l) and K_minus[n, l] = K(1/z_n, 1/z_l), both
-    from _kernel_matrix (the diagonal is unused and holds ones).
-    """
 
-    G_plus: np.ndarray
-    G_minus: np.ndarray
-    Gp_plus: np.ndarray
-    Gp_minus: np.ndarray
-    K_plus: np.ndarray
-    K_minus: np.ndarray
+def build_matrix_M(p: AWParams, zs: ZeroSet) -> SpectralMatrix:
+    """Assemble M from the zeros; its predicted spectrum is mu_1..mu_N.
 
-
-def eval_structure(p: AWParams, zs: ZeroSet) -> AWStructureEval:
-    """Evaluate G, G' and K at every zero and every reciprocal zero.
-
-    The point guards run before the pair guards, each over the whole array
-    and naming the first failing point or pair in row-major order.
+    Each column of (z_n, 1/z_n) gives one half of M. The point guards run before the pair
+    guards, each over the whole array and naming the first failing point or pair in row-major order.
     """
     z = np.asarray(zs.zbar, dtype=complex)
     _guard(
@@ -133,45 +136,9 @@ def eval_structure(p: AWParams, zs: ZeroSet) -> AWStructureEval:
     zw = np.stack([z, _reciprocal(z)], axis=1)
     G, Gp = eval_G_pair(p, zw)
     K = _kernel_matrix(p.q, zw)
-    # each array's last axis unpacks into its (at z_n, at 1/z_n) fields
-    return AWStructureEval(*G.T, *Gp.T, *K.transpose(2, 0, 1))
-
-
-def _matrix_half(
-    q: ComplexScalar, w: np.ndarray, G: np.ndarray, Gp: np.ndarray, K: np.ndarray
-) -> np.ndarray:
-    """One symmetrization half of M, on coordinates w (either z or 1/z)."""
-    n = len(w)
-    rows, cols = _off_diagonal(n)
-    wi, wm = w[rows], w[cols]
-    d1 = wm - q * wi
-    d2 = q * wi * wm - 1.0
-    d3 = wm - wi
-    d4 = wi * wm - 1.0
-    _guard(
-        (abs(d1), "z_m-q*z_n"),
-        (abs(d2), "q*z_n*z_m-1"),
-        (abs(d3), "z_n-z_m"),
-        (abs(d4), "z_n*z_m-1"),
-    )
-    prod_k = np.prod(K, axis=1)
-    pref = 2.0 * w * w / (w * w - 1.0)
-    diag_sum = (-q / d1 + q * wm / d2 + 1.0 / d3 - wm / d4).reshape(n, n - 1).sum(axis=1)
-    bracket = 1.0 / d1 + q * wi / d2 - 1.0 / d3 - wi / d4
-    half = np.diag((pref * G * diag_sum + pref * Gp) * prod_k)
-    half[rows, cols] = pref[cols] * G[rows] * bracket * prod_k[rows]
-    return half
-
-
-def build_matrix_M(p: AWParams, zs: ZeroSet) -> SpectralMatrix:
-    """Assemble M from the zeros; its predicted spectrum is mu_1..mu_N."""
-    se = eval_structure(p, zs)
-    z = np.asarray(zs.zbar, dtype=complex)
-    w_flip = _reciprocal(z)
-    half_plus = _matrix_half(p.q, z, se.G_plus, se.Gp_plus, se.K_plus)
-    half_minus = _matrix_half(p.q, w_flip, se.G_minus, se.Gp_minus, se.K_minus)
+    halves = [_matrix_half(p.q, zw[:, j], G[:, j], Gp[:, j], K[:, :, j]) for j in (0, 1)]
     scale = (p.q - 1.0) / (2.0 * p.q**p.N)
-    entries = scale * (half_plus + half_minus)
+    entries = scale * (halves[0] + halves[1])
     predicted = np.array(spectrum_closed_form(p.q, p.product, p.shift, p.N))
     return SpectralMatrix(entries=entries, predicted=predicted, label="M")
 

@@ -303,11 +303,16 @@ def run_verify(
         delta = complex(entries[0, 0]) - complex(predicted[0])
         report.add(f"matrix-{mat.label}-entry", rel_residual(delta, predicted[0]), match_tol, [spec])
 
+    # M and mu scaled by 2^-e <= 1/max|mu_n|, exactly, so that M^k and mu^k stay in the double
+    # range; the residual |tr - sum| / max(1, |sum|) is then formed at the scale 2^-ke
+    e = math.frexp(max(1.0, float(np.max(np.abs(predicted)))))[1]
+    scaled, mu = entries * math.ldexp(1.0, -e), predicted * math.ldexp(1.0, -e)
     power = np.eye(len(entries), dtype=complex)
     for k in (1,) if sweep else (1, 2, 3):
-        power = power @ entries
-        target = complex(np.sum(predicted**k))
-        residual = rel_residual(complex(np.trace(power)) - target, target)
+        power = power @ scaled
+        target = complex(np.sum(mu**k))
+        floor = math.ldexp(1.0, max(-k * e, -1074))  # 2^-ke, or the least double above it
+        residual = rel_residual(complex(np.trace(power)) - target, target, floor)
         report.add(f"{cor}.3-trace-k{k}", residual, match_tol, [f"{cor}.3"])
     if not sweep:
         closed = trace_closed_form(params)

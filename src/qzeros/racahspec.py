@@ -149,69 +149,39 @@ def _pair_differences(z: np.ndarray, z_plus: np.ndarray, z_minus: np.ndarray):
     return d, d_plus, d_minus
 
 
-@dataclass
-class RacahStructureEval(_PointStructure):
-    """Structure functions at the zeros, as arrays indexed by zero.
-
-    The point fields are point_structure on the whole array of zeros.
-    Wplus[n, m] and Wminus[n, m] hold the pair couplings
-    W^(+/-)(z_n, z_m) = [C^(+/-)(z_n)(z_n - z_m) - z_n^(+/-) + z_m]
-                        / [(z_n - z_m)(z_n^(+/-) - z_m)]
-    with zero diagonals.
-    """
-
-    Wplus: np.ndarray
-    Wminus: np.ndarray
-    branch: int
-    pairs: tuple  # (d, d_plus, d_minus) of _pair_differences
-
-
-def eval_structure(p: RacahParams, zs: ZeroSet, branch: int = +1) -> RacahStructureEval:
-    """Evaluate z^(+/-), Z, B, D, B', D', C^(+/-), W^(+/-) at every zero.
-
-    The guards are checked over whole arrays: first the point guards, then
-    the pair guards z_n-z_m, z_n^(+)-z_m and z_n^(-)-z_m, each naming the
-    first failing point or pair in row-major order.
-    """
-    z = np.asarray(zs.zbar, dtype=complex)
-    pt = point_structure(p, z, branch)
-    d, d_plus, d_minus = pairs = _pair_differences(z, pt.z_plus, pt.z_minus)
-    _guard(
-        (abs(d), "z_n-z_m"),
-        (abs(d_plus), "z_n^(+)-z_m"),
-        (abs(d_minus), "z_n^(-)-z_m"),
-    )
-    w_plus = (pt.Cplus[:, None] * d - pt.z_plus[:, None] + z[None, :]) / (d * d_plus)
-    w_minus = (pt.Cminus[:, None] * d - pt.z_minus[:, None] + z[None, :]) / (d * d_minus)
-    np.fill_diagonal(w_plus, 0.0)
-    np.fill_diagonal(w_minus, 0.0)
-    return RacahStructureEval(**vars(pt), Wplus=w_plus, Wminus=w_minus, branch=branch, pairs=pairs)
-
-
 def build_matrix_L(p: RacahParams, zs: ZeroSet, branch: int = +1) -> SpectralMatrix:
     """Assemble L from the zeros; its predicted spectrum is lambda_1..lambda_N.
 
+    The point guards of point_structure run before the pair guards, each over the whole
+    array and naming the first failing point or pair in row-major order. The diagonal
+    holds the row sums of the pair couplings W^(+/-)(z_n, z_m) =
+    [C^(+/-)(z_n)(z_n - z_m) - z_n^(+/-) + z_m] / [(z_n - z_m)(z_n^(+/-) - z_m)].
     The leave-two-out product of entry (n, m) is the leave-one-out product
     of row n divided by its factor (z_n^(+/-) - z_m)/(z_n - z_m), which the
     z_n^(+/-)-z_m guard keeps away from zero.
     """
-    se = eval_structure(p, zs, branch=branch)
     z = np.asarray(zs.zbar, dtype=complex)
-    d, d_plus, d_minus = se.pairs
+    pt = point_structure(p, z, branch)
+    d, d_plus, d_minus = _pair_differences(z, pt.z_plus, pt.z_minus)
+    _guard((abs(d), "z_n-z_m"), (abs(d_plus), "z_n^(+)-z_m"), (abs(d_minus), "z_n^(-)-z_m"))
+    w_plus = (pt.Cplus[:, None] * d - pt.z_plus[:, None] + z[None, :]) / (d * d_plus)
+    w_minus = (pt.Cminus[:, None] * d - pt.z_minus[:, None] + z[None, :]) / (d * d_minus)
+    np.fill_diagonal(w_plus, 0.0)
+    np.fill_diagonal(w_minus, 0.0)
     ratio_plus = np.prod(d_plus / d, axis=1)
     ratio_minus = np.prod(d_minus / d, axis=1)
-    dz_plus = se.z_plus - z
-    dz_minus = se.z_minus - z
+    dz_plus = pt.z_plus - z
+    dz_minus = pt.z_minus - z
     prod_plus = ratio_plus[:, None] * d / d_plus  # the leave-two-out products
     prod_minus = ratio_minus[:, None] * d / d_minus
     entries = (
-        se.Bval[:, None] * (dz_plus[:, None] / d) ** 2 * prod_plus
-        + se.Dval[:, None] * (dz_minus[:, None] / d) ** 2 * prod_minus
+        pt.Bval[:, None] * (dz_plus[:, None] / d) ** 2 * prod_plus
+        + pt.Dval[:, None] * (dz_minus[:, None] / d) ** 2 * prod_minus
     )
     diag = (
-        se.Bp * dz_plus + se.Bval * (se.Cplus - 1.0 + dz_plus * se.Wplus.sum(axis=1))
+        pt.Bp * dz_plus + pt.Bval * (pt.Cplus - 1.0 + dz_plus * w_plus.sum(axis=1))
     ) * ratio_plus + (
-        se.Dp * dz_minus + se.Dval * (se.Cminus - 1.0 + dz_minus * se.Wminus.sum(axis=1))
+        pt.Dp * dz_minus + pt.Dval * (pt.Cminus - 1.0 + dz_minus * w_minus.sum(axis=1))
     ) * ratio_minus
     np.fill_diagonal(entries, diag)
     predicted = np.array(spectrum_closed_form(p.q, p.product, p.shift, p.N))

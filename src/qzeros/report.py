@@ -36,6 +36,9 @@ DEFAULT_TOLERANCES = {
     "fd_jacobian": 1e-4,
     "diophantine": 1e-8,
 }
+#: Largest denominator of a parameter that as_rational reads as rational.
+MAX_DENOMINATOR = 10**6
+
 
 @dataclass
 class Check:
@@ -93,14 +96,14 @@ def resolve_tolerances(overrides: Optional[dict] = None) -> dict:
     return tols
 
 
-def rel_residual(delta: complex, target: complex) -> float:
-    """|delta| normalized by max(1, |target|).
+def rel_residual(delta: complex, target: complex, floor: float = 1.0) -> float:
+    """|delta| normalized by max(floor, |target|).
 
     inf where a modulus is not representable, NaN where a part is NaN: either
     fails its check.
     """
     try:
-        return abs(delta) / max(1.0, abs(target))
+        return abs(delta) / max(floor, abs(target))
     except OverflowError:
         # finite parts whose modulus exceeds the largest double; but abs() of a
         # complex with a NaN part raises too when an earlier overflow left errno
@@ -110,13 +113,13 @@ def rel_residual(delta: complex, target: complex) -> float:
         return math.inf
 
 
-def as_rational(x: complex, max_denominator: int = 10**6) -> Optional[Fraction]:
+def as_rational(x: complex) -> Optional[Fraction]:
     """The exact rational a float encodes, or None if it does not look rational.
 
     The gap is relative to |x|, so a tiny q, real or imaginary, is not the rational 0.
     """
     x = complex(x)
-    fr = Fraction(x.real).limit_denominator(max_denominator)
+    fr = Fraction(x.real).limit_denominator(MAX_DENOMINATOR)
     return fr if abs(x - float(fr)) <= 1e-12 * abs(x) else None
 
 

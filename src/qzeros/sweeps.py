@@ -23,6 +23,8 @@ from .polyform import AWParams, RacahParams
 
 MODULUS_MIN = 0.2
 MODULUS_MAX = 3.0
+#: Draws tried before a sweep gives up on a base q and degree N.
+MAX_DRAW_ATTEMPTS = 100
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -50,26 +52,25 @@ class SplitMix64:
         return modulus * cmath.exp(2j * cmath.pi * phase)
 
 
-def draw_aw_params(stream: SplitMix64, q: complex, N: int, max_attempts: int = 100) -> AWParams:
-    """Draw a valid Askey-Wilson parameter set from the stream."""
-    for _ in range(max_attempts):
-        a, b, c, d = (stream.next_param() for _ in range(4))
+def _draw(params_type, title: str, stream: SplitMix64, q: complex, N: int):
+    """The first admissible parameter set of params_type that the stream yields."""
+    for _ in range(MAX_DRAW_ATTEMPTS):
+        values = [stream.next_param() for _ in range(4)]
         try:
-            return AWParams(a=a, b=b, c=c, d=d, q=q, N=N)
+            return params_type(*values, q=q, N=N)
         except (QZerosError, ValueError):
             continue
-    raise QZerosError(f"no admissible Askey-Wilson draw within {max_attempts} attempts")
+    raise QZerosError(f"no admissible {title} draw within {MAX_DRAW_ATTEMPTS} attempts")
 
 
-def draw_racah_params(stream: SplitMix64, q: complex, N: int, max_attempts: int = 100) -> RacahParams:
-    """Draw a valid q-Racah parameter set from the stream."""
-    for _ in range(max_attempts):
-        al, be, ga, de = (stream.next_param() for _ in range(4))
-        try:
-            return RacahParams(alpha=al, beta=be, gamma=ga, delta=de, q=q, N=N)
-        except (QZerosError, ValueError):
-            continue
-    raise QZerosError(f"no admissible q-Racah draw within {max_attempts} attempts")
+def draw_aw_params(stream: SplitMix64, q: complex, N: int) -> AWParams:
+    """Draw a valid Askey-Wilson parameter set (a, b, c, d) from the stream."""
+    return _draw(AWParams, "Askey-Wilson", stream, q, N)
+
+
+def draw_racah_params(stream: SplitMix64, q: complex, N: int) -> RacahParams:
+    """Draw a valid q-Racah parameter set (alpha, beta, gamma, delta) from the stream."""
+    return _draw(RacahParams, "q-Racah", stream, q, N)
 
 
 def unit_direction(stream: SplitMix64, n: int) -> list[complex]:

@@ -52,7 +52,7 @@ from .sweeps import draw_aw_params, draw_racah_params
 
 #: Local error target per step, relative to the state magnitude.
 LOCAL_ERROR_TARGET = 1e-10
-#: Default relative finite-difference step.
+#: Relative finite-difference step of fd_jacobian.
 FD_STEP = 1e-6
 #: Bound on the relative gap between flow and linearization at epsilon = 1e-6.
 LINEARIZATION_TOL = 1e-3
@@ -201,18 +201,16 @@ def integrate_flow(
     return samples
 
 
-def fd_jacobian(rhs: VelocityFn, y: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def fd_jacobian(rhs: VelocityFn, y: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of the flow at the positions y.
 
-    Column m perturbs coordinate m only, with step h * max(1, |coordinate|).
+    Column m perturbs coordinate m only, with step FD_STEP * max(1, |coordinate|).
     """
-    if not h > 0:
-        raise ValueError(f"step must be positive, got {h}")
     y = np.asarray(y, dtype=complex)
     n = len(y)
     jac = np.empty((n, n), dtype=complex)
     for m in range(n):
-        hm = h * max(1.0, abs(y[m]))
+        hm = FD_STEP * max(1.0, abs(y[m]))
         y_plus = y.copy()
         y_minus = y.copy()
         y_plus[m] += hm

@@ -51,6 +51,23 @@ def det_closed_form(q, product, shift: int, N: int):
     return out
 
 
+def racah_as_aw(p: RacahParams) -> AWParams:
+    """The Askey-Wilson parameters whose polynomial is the q-Racah one, z = 2a x.
+
+    a = sqrt(gamma delta q), b = alpha q / a, c = beta delta q / a, d = gamma q / a:
+    the classical reduction of q-Racah to Askey-Wilson polynomials (Askey and
+    Wilson, Mem. AMS 54 no. 319, 1985), in a parameter form that
+    test_racahspec.TestRacahAsAskeyWilson checks numerically.
+    Then abcd = alpha beta q^2, so M and L share their closed-form spectrum,
+    and ab, ac, ad are alpha q, beta delta q, gamma q, so admissibility maps
+    exactly. Either branch of the square root serves; this is the principal one.
+    """
+    a = cmath.sqrt(p.gamma * p.delta * p.q)
+    return AWParams(
+        a=a, b=p.alpha * p.q / a, c=p.beta * p.delta * p.q / a, d=p.gamma * p.q / a, q=p.q, N=p.N
+    )
+
+
 def qpochhammer_multi(cs: Sequence[ComplexScalar], q: ComplexScalar, n: int) -> ComplexScalar:
     """Product (c1,...,cr;q)_n of several q-Pochhammer symbols of equal order."""
     out = 1.0 + 0.0j

@@ -45,9 +45,6 @@ class TestStructureFunctions:
 
     def test_structure_eval_shapes(self):
         p, zs = random_instance(3, 0.5, 4)
-        se = awspec.eval_structure(p, zs)
-        assert se.K_plus.shape == (4, 4)
-        assert len(se.G_minus) == 4
         A = awspec.eval_A(p, np.stack([zs.zbar, 1 / zs.zbar], axis=1))
         for i in range(4):
             assert A[i, 0] == pytest.approx(awspec.eval_A(p, zs.zbar[i]))
@@ -202,5 +199,5 @@ class TestGuardDiagnostics:
         p, zs = random_instance(3, 0.5, 3)
         bad = dataclasses.replace(zs, zbar=np.array([1.0 + 0j, *zs.zbar[1:]]))
         with pytest.raises(SingularConfiguration) as info:
-            awspec.eval_structure(p, bad)
+            awspec.build_matrix_M(p, bad)
         assert info.value.guard == "z^2-1"

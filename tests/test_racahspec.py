@@ -7,17 +7,18 @@ import pytest
 from qseries_oracle import (
     apply_racah_difference,
     det_closed_form,
+    racah_as_aw,
     racah_eigenvalue,
     racah_eval,
     shift_targets,
 )
-from qzeros import racahspec
-from qzeros.errors import BranchDegenerate
+from qzeros import awspec, racahspec, zeroflow
+from qzeros.errors import BranchDegenerate, SingularConfiguration
 from qzeros.cli import run_verify
 from qzeros.numlin import compute_zero_set, eigenvalues, match_spectra
 from qzeros.polyform import RacahParams
 from qzeros.report import spectrum_closed_form, trace_closed_form
-from qzeros.sweeps import SplitMix64, draw_racah_params
+from qzeros.sweeps import SplitMix64, draw_racah_params, unit_direction
 
 ANCHOR = RacahParams(alpha=3, beta=2, gamma=4, delta=5, q=0.5, N=1)
 
@@ -48,7 +49,7 @@ class TestShiftTargets:
             zs, zbar=np.array([2 * np.sqrt(p.gammadelta * p.q), zs.zbar[1]])
         )
         with pytest.raises(BranchDegenerate):
-            racahspec.eval_structure(p, degenerate)
+            racahspec.build_matrix_L(p, degenerate)
 
     def test_Z_branch_product(self):
         p = RacahParams(alpha=1.2, beta=0.4, gamma=0.9, delta=1.1, q=0.6, N=2)
@@ -199,3 +200,49 @@ class TestCorollaries:
         ]
         match = match_spectra(eigenvalues(l.entries), np.array([float(f) for f in exact]))
         assert match.max_abs_gap <= 1e-8
+
+
+class TestRacahAsAskeyWilson:
+    """q-Racah at (alpha, beta, gamma, delta) is Askey-Wilson at racah_as_aw's parameters.
+
+    The q-Racah zeros are z_n = 2a x_n for the Askey-Wilson zeros x_n, and the
+    two builders, which share no code beyond the closed-form spectrum, give
+    L = P M P^T for the permutation P that pairs the zeros.
+    """
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("q", [0.3, 0.6, 0.5 + 0.2j, -0.4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 24])
+    def test_zeros_matrices_and_velocities_map(self, seed, q, n):
+        p = draw_racah_params(SplitMix64(seed), q, n)
+        aw = racah_as_aw(p)
+        zs, zs_aw = compute_zero_set(p), compute_zero_set(aw)
+        z = zs.zbar
+        mapped = 2 * aw.a * zs_aw.xbar
+        perm = np.array([int(np.argmin(np.abs(z - v))) for v in mapped])
+        assert sorted(perm) == list(range(n))
+        assert np.max(np.abs(z[perm] - mapped)) <= 1e-15 * np.max(np.abs(z))
+
+        L = racahspec.build_matrix_L(p, zs)
+        M = awspec.build_matrix_M(aw, zs_aw)
+        assert np.allclose(L.predicted, M.predicted, rtol=1e-13, atol=0)
+        scale = np.max(np.abs(L.entries))
+        assert np.max(np.abs(L.entries[np.ix_(perm, perm)] - M.entries)) <= 1e-13 * scale
+
+        x = zs_aw.xbar + 1e-3 * np.max(np.abs(zs_aw.xbar)) * np.array(
+            unit_direction(SplitMix64(seed), n)
+        )
+        v_racah = zeroflow.racah_velocity(p, 2 * aw.a * x)
+        v_aw = zeroflow.aw_velocity(aw, x)
+        assert np.max(np.abs(v_racah - 2 * aw.a * v_aw)) <= 1e-11 * np.max(np.abs(v_racah))
+
+    def test_guards_trip_together(self):
+        # the seed-0 q = 0.6 N = 24 cell: q-Racah's z_n^(-)-z_m is Askey-Wilson's z_m-q*z_n
+        p = draw_racah_params(SplitMix64(0), 0.6, 24)
+        aw = racah_as_aw(p)
+        with pytest.raises(SingularConfiguration) as racah_info:
+            racahspec.build_matrix_L(p, compute_zero_set(p))
+        with pytest.raises(SingularConfiguration) as aw_info:
+            awspec.build_matrix_M(aw, compute_zero_set(aw))
+        assert racah_info.value.guard == "z_n^(-)-z_m"
+        assert aw_info.value.guard == "z_m-q*z_n"

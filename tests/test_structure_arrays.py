@@ -115,7 +115,7 @@ class TestGuards:
         zb = zs.zbar.copy()
         zb[2] = zb[1]
         with pytest.raises(SingularConfiguration) as info:
-            awspec.eval_structure(p, dataclasses.replace(zs, zbar=zb))
+            awspec.build_matrix_M(p, dataclasses.replace(zs, zbar=zb))
         assert info.value.guard == "z_n-z_m"
 
     def test_coincident_racah_positions(self):
@@ -156,7 +156,7 @@ class TestGuards:
         zs = compute_zero_set(p, polish=False)
         bad = dataclasses.replace(zs, zbar=np.array([zs.zbar[0], 1.0, 0.0]))
         with pytest.raises(SingularConfiguration) as info:
-            awspec.eval_structure(p, bad)
+            awspec.build_matrix_M(p, bad)
         assert info.value.guard == "z^2-1"
 
     def test_racah_branch_degenerate_point(self):

@@ -117,12 +117,12 @@ class TestFdJacobian:
     def test_linear_map_recovered(self):
         a0 = np.array([[1.0, 2.0 - 1j], [0.5j, -3.0]], dtype=complex)
         rhs = lambda y: a0 @ y
-        jac = fd_jacobian(rhs, np.array([0.3 + 0j, -0.4 + 0.2j]), h=1e-6)
+        jac = fd_jacobian(rhs, np.array([0.3 + 0j, -0.4 + 0.2j]))
         assert np.max(np.abs(jac - a0)) <= 1e-9
 
     def test_quadratic_terms_cancel_at_origin(self):
         rhs = lambda y: y**2
-        jac = fd_jacobian(rhs, np.zeros(3, dtype=complex), h=1e-6)
+        jac = fd_jacobian(rhs, np.zeros(3, dtype=complex))
         assert np.max(np.abs(jac)) <= 1e-10
 
     @pytest.mark.parametrize("family", ["aw", "racah"])
