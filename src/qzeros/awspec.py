@@ -83,16 +83,16 @@ def _off_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernel_matrix(q: ComplexScalar, w: np.ndarray) -> np.ndarray:
-    """K[n, m, ...] = K(w[n, ...], w[m, ...]) for n != m, ones on the diagonal.
+    """K[..., n, m, j] = K(w[..., n, j], w[..., m, j]) for n != m, ones on the diagonal.
 
     The pair kernel of both the flow velocity and M, whose row products are
-    prod_{l!=n} K(w_n, w_l). Trailing axes of w (z_n and 1/z_n stacked) are
-    kept. The guards name the first failing pair in row-major order.
+    prod_{l!=n} K(w_n, w_l). w is (..., N, 2), z_n and 1/z_n side by side,
+    under any leading batch axes. The guards name the first failing pair in
+    row-major order.
     """
-    n = len(w)
-    rows, cols = _off_diagonal(n)
-    k = np.ones((n, n) + w.shape[1:], dtype=complex)
-    k[rows, cols] = eval_K(q, w[rows], w[cols])
+    rows, cols = _off_diagonal(w.shape[-2])
+    k = np.ones(w.shape[:-1] + w.shape[-2:], dtype=complex)
+    k[..., rows, cols, :] = eval_K(q, w[..., rows, :], w[..., cols, :])
     return k
 
 

@@ -150,8 +150,11 @@ def _config_from_args(
     if args.command == "flow":
         if not 0 < args.t_end < math.inf:
             parser.error(f"--t-end must be finite and positive, got {args.t_end}")
-        if args.dt_max is not None and not args.dt_max > 0:
-            parser.error(f"--dt-max must be positive, got {args.dt_max}")
+        if args.dt_max is None:
+            args.dt_max = args.t_end / 50.0
+        floor = zeroflow.STEP_FLOOR * max(1.0, args.t_end)
+        if not args.dt_max >= floor:  # integrate_flow's step floor; also catches 0 and nan
+            parser.error(f"--dt-max (default t-end/50) must be >= {floor:.1e}, got {args.dt_max}")
     if args.command == "sweep" and args.count < 1:
         parser.error(f"--count must be at least 1, got {args.count}")
 
@@ -376,9 +379,8 @@ def _cmd_flow(args: argparse.Namespace, params, overrides: dict) -> tuple[str, i
         return "", EXIT_USAGE
     family = FAMILIES[args.family]
     start = family.position(zs) + args.epsilon * direction
-    dt_max = args.dt_max if args.dt_max is not None else args.t_end / 50.0
     trajectory = zeroflow.integrate_flow(
-        lambda y: family.velocity(params, y), start, args.t_end, dt_max
+        lambda y: family.velocity(params, y), start, args.t_end, args.dt_max
     )
     if args.output_format == "json":
         body = {

@@ -136,16 +136,18 @@ def point_structure(
 def _pair_differences(z: np.ndarray, z_plus: np.ndarray, z_minus: np.ndarray):
     """Pair arrays (d, d_plus, d_minus) at the points z, with ones on their diagonals.
 
-    d[n, m] = z_n - z_m and d_plus/minus[n, m] = z_n^(+/-) - z_m. The row
-    products of d_plus/d and d_minus/d are the leave-one-out ratio products
+    d[..., n, m] = z_n - z_m and d_plus/minus[..., n, m] = z_n^(+/-) - z_m,
+    under any leading batch axes of z. The row products of d_plus/d and
+    d_minus/d are the leave-one-out ratio products
     prod_{l!=n} (z_n^(+/-) - z_l)/(z_n - z_l) of both the flow velocity and
     L; the callers guard the differences they divide by.
     """
-    d = z[:, None] - z[None, :]
-    d_plus = z_plus[:, None] - z[None, :]
-    d_minus = z_minus[:, None] - z[None, :]
+    d = z[..., :, None] - z[..., None, :]
+    d_plus = z_plus[..., :, None] - z[..., None, :]
+    d_minus = z_minus[..., :, None] - z[..., None, :]
+    diagonal = np.arange(z.shape[-1])
     for pair in (d, d_plus, d_minus):
-        np.fill_diagonal(pair, 1.0)
+        pair[..., diagonal, diagonal] = 1.0
     return d, d_plus, d_minus
 
 

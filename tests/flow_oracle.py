@@ -1,9 +1,14 @@
-"""Test oracle: the nonlinear flow against its matrix-exponential linearization.
+"""Test oracles of the flow layer.
 
-Near an equilibrium the flow moves a small displacement eps * direction to
-eps * exp(M t) @ direction up to O(eps^2), where M (or L) is the spectral
-matrix. No ``qz`` command runs this comparison; the tests use it to check
-the integrator and the velocities together against the matrices.
+``linearization_check``: near an equilibrium the flow moves a small
+displacement eps * direction to eps * exp(M t) @ direction up to
+O(eps^2), where M (or L) is the spectral matrix. No ``qz`` command runs
+this comparison; the tests use it to check the integrator and the
+velocities together against the matrices.
+
+``serial_integrate_flow``: the step-doubling RK4 loop as three serial
+single-state steps per trial, 12 rhs calls, that ``integrate_flow`` must
+reproduce bit for bit with its 8.
 """
 
 from __future__ import annotations
@@ -13,10 +18,16 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import expm
 
+from qzeros.errors import (
+    BranchDegenerate,
+    DegenerateConfiguration,
+    SingularConfiguration,
+    SingularTrajectory,
+)
 from qzeros.numlin import SpectralMatrix, ZeroSet
 from qzeros.polyform import AWParams, RacahParams
 from qzeros.report import VerificationReport
-from qzeros.zeroflow import FAMILIES, LINEARIZATION_TOL, integrate_flow
+from qzeros.zeroflow import FAMILIES, LINEARIZATION_TOL, LOCAL_ERROR_TARGET, integrate_flow
 
 
 def linearization_check(
@@ -59,3 +70,39 @@ def linearization_check(
     report = VerificationReport(family=family.name, params=params)
     report.add("flow-linearization", deviation, LINEARIZATION_TOL, [family.flow_ref])
     return report
+
+
+def _serial_rk4_step(rhs, y, h):
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def serial_integrate_flow(rhs, y0, t_end, dt_max):
+    """integrate_flow's samples, each trial taking the step at h and both h/2 steps in turn."""
+    t, y = 0.0, np.asarray(y0, dtype=complex)
+    samples = [(t, y)]
+    h = min(dt_max, t_end)
+    while t < t_end - 1e-15 * max(1.0, t_end):
+        h = min(h, t_end - t)
+        try:
+            while True:
+                full = _serial_rk4_step(rhs, y, h)
+                half = _serial_rk4_step(rhs, y, 0.5 * h)
+                y2 = _serial_rk4_step(rhs, half, 0.5 * h)
+                err = float(np.max(np.abs(y2 - full))) / 15.0
+                scale = max(1.0, float(np.max(np.abs(y2))))
+                if err <= LOCAL_ERROR_TARGET * scale:
+                    break
+                h *= 0.5
+                if h < 1e-14 * max(1.0, t_end):
+                    raise SingularTrajectory("step size underflow", samples)
+        except (SingularConfiguration, BranchDegenerate, DegenerateConfiguration) as exc:
+            raise SingularTrajectory(f"guard tripped mid-flow: {exc}", samples) from exc
+        t, y = t + h, y2
+        samples.append((t, y))
+        if err < 0.03 * LOCAL_ERROR_TARGET * scale:
+            h = min(2.0 * h, dt_max)
+    return samples

@@ -278,6 +278,9 @@ class TestExitCodeTable:
         "flow t-end inf": (["flow", *AW_N3, "--t-end", "inf"], 4),
         "flow dt-max 0": (["flow", *AW_N3, "--dt-max", "0"], 4),
         "flow dt-max -0.1": (["flow", *AW_N3, "--dt-max", "-0.1"], 4),
+        # a step cap below the integrator's floor 1e-14 * max(1, t_end), given or t-end/50
+        "flow dt-max 1e-16": (["flow", *AW_N3, "--dt-max", "1e-16"], 4),
+        "flow t-end 1e-16": (["flow", *AW_N3, "--t-end", "1e-16"], 4),
         "flow epsilon 0": (["flow", *AW_N3, "--epsilon", "0"], 4),
         "flow epsilon beyond the zero separation": (["flow", *AW_N3, "--epsilon", "1"], 4),
         "sweep count 0": (_sweep(count="0"), 4),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import scalar_oracle
-from flow_oracle import linearization_check
+from flow_oracle import linearization_check, serial_integrate_flow
 from qzeros import awspec, racahspec, zeroflow
-from qzeros.errors import SingularTrajectory
+from qzeros.errors import SingularConfiguration, SingularTrajectory, guard
 from qzeros.numlin import compute_zero_set
 from qzeros.polyform import AWParams, RacahParams
 from qzeros.sweeps import SplitMix64, draw_aw_params, draw_racah_params, unit_direction
@@ -96,9 +96,7 @@ class TestIntegrateFlow:
         def rhs(y):
             # y = t along this flow: the guard trips once the flow passes t = 0.018
             calls["n"] += 1
-            if y[0].real > 0.018:
-                from qzeros.errors import SingularConfiguration
-
+            if np.any(y[..., 0].real > 0.018):
                 raise SingularConfiguration("z_n-z_m", 0.0)
             return np.ones_like(y)
 
@@ -111,6 +109,135 @@ class TestIntegrateFlow:
         rhs = lambda y: y
         with pytest.raises(ValueError):
             integrate_flow(rhs, np.array([1.0 + 0j]), 0.0, 0.1)
+
+    @pytest.mark.parametrize("dt_max", [1e-16, 0.99e-14, 0.0, -0.1, float("nan")])
+    def test_rejects_dt_max_below_step_floor(self, dt_max):
+        # below the floor the first step would already be an underflow, or never end
+        rhs = lambda y: -y
+        with pytest.raises(ValueError, match="dt_max"):
+            integrate_flow(rhs, np.array([1.0 + 0j]), 0.05, dt_max)
+
+
+def _flow_case(family, seed, q, n):
+    """(rhs, start, t_end) of a flow-window style run: 4/||matrix|| from a 1e-6 displacement."""
+    fam = FAMILIES[family]
+    p = fam.draw(SplitMix64(seed), q, n)
+    zs = compute_zero_set(p)
+    t_end = 4.0 / float(np.linalg.norm(fam.build_matrix(p, zs).entries, 2))
+    start = fam.position(zs) + 1e-6 * np.asarray(unit_direction(SplitMix64(seed), n))
+    return velocity(p), start, t_end
+
+
+def _assert_same_samples(got, expected):
+    assert len(got) == len(expected)
+    for (t, y), (t_ref, y_ref) in zip(got, expected):
+        assert t == t_ref
+        assert np.array_equal(y, y_ref)
+
+
+def _counting(rhs):
+    calls = []
+
+    def counted(y):
+        calls.append(y.shape)
+        return rhs(y)
+
+    return counted, calls
+
+
+class TestLockStepIntegrator:
+    """integrate_flow against the serial step-doubling loop of flow_oracle, bit for bit."""
+
+    @pytest.mark.parametrize("family", ["aw", "racah"])
+    @pytest.mark.parametrize("q", [0.3, 0.6, 0.5 + 0.2j])
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_same_samples_as_serial_steps(self, family, q, n):
+        rhs, start, t_end = _flow_case(family, 0, q, n)
+        expected = serial_integrate_flow(rhs, start, t_end, t_end / 50.0)
+        _assert_same_samples(integrate_flow(rhs, start, t_end, t_end / 50.0), expected)
+
+    @pytest.mark.parametrize("family", ["aw", "racah"])
+    def test_same_samples_with_rejected_trials(self, family):
+        rhs, start, t_end = _flow_case(family, 1, 0.6, 8)
+        serial, serial_calls = _counting(rhs)
+        expected = serial_integrate_flow(serial, start, t_end, t_end)
+        assert len(serial_calls) // 12 > len(expected) - 1  # some trial was rejected
+        _assert_same_samples(integrate_flow(rhs, start, t_end, t_end), expected)
+
+    def test_same_samples_on_a_nonlinear_flow_with_large_steps(self):
+        # near the zeros a step moves the state by far less than its last bits, so a
+        # reordered stage sum shows only where the increments are of the state's size
+        rng = np.random.default_rng(0)
+        start = rng.normal(size=5) + 1j * rng.normal(size=5)
+        rhs = lambda y: -(1.0 + 0.3j) * y + 0.1 * y**2
+        expected = serial_integrate_flow(rhs, start, 1.0, 0.1)
+        _assert_same_samples(integrate_flow(rhs, start, 1.0, 0.1), expected)
+
+    def test_guard_trip_mid_flow_same_partial_trajectory(self):
+        rhs, start, t_end = _flow_case("aw", 2, 0.6, 8)
+        final = integrate_flow(rhs, start, t_end, t_end / 50.0)[-1][1]
+        limit = 0.5 * abs(final[0] - start[0])
+
+        def tripping(y):
+            moved = np.abs(y[..., 0] - start[0])
+            guard((limit - moved, "z_n-z_m"))  # trips once any row has moved past the limit
+            return rhs(y)
+
+        outcomes = []
+        for integrate in (serial_integrate_flow, integrate_flow):
+            with pytest.raises(SingularTrajectory) as info:
+                integrate(tripping, start, t_end, t_end / 50.0)
+            outcomes.append(info.value)
+        serial, lock_step = outcomes
+        assert 1 < len(lock_step.trajectory) < 50
+        assert type(lock_step.__cause__) is type(serial.__cause__) is SingularConfiguration
+        _assert_same_samples(lock_step.trajectory, serial.trajectory)
+
+    @pytest.mark.parametrize("family", ["aw", "racah"])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_stacked_velocities_equal_row_calls(self, family, b):
+        fam = FAMILIES[family]
+        p = fam.draw(SplitMix64(4), 0.5 + 0.2j, 6)
+        base = fam.position(compute_zero_set(p))
+        shifts = unit_direction(SplitMix64(5), 6 * b)
+        stacked = base + 1e-3 * np.asarray(shifts).reshape(b, 6)
+        rows = np.array([fam.velocity(p, y) for y in stacked])
+        assert np.array_equal(fam.velocity(p, stacked), rows)
+
+    @pytest.mark.parametrize("family", ["aw", "racah"])
+    def test_stacked_guard_names_first_failing_row(self, family):
+        fam = FAMILIES[family]
+        p = fam.draw(SplitMix64(0), 0.6, 4)
+        rows = np.tile(fam.position(compute_zero_set(p)), (2, 1))
+        rows[0, 3] = rows[0, 2] + 1e-12  # a near collision in row 0
+        rows[1, 1] = rows[1, 0]  # an exact one in row 1, at an earlier pair
+        with pytest.raises(SingularConfiguration) as first_row:
+            fam.velocity(p, rows[0])
+        with pytest.raises(SingularConfiguration) as stacked:
+            fam.velocity(p, rows)
+        assert first_row.value.magnitude > 0
+        assert (stacked.value.guard, stacked.value.magnitude) == (
+            first_row.value.guard,
+            first_row.value.magnitude,
+        )
+
+    def test_eight_rhs_calls_per_trial(self):
+        rhs, calls = _counting(lambda y: np.zeros_like(y))
+        samples = integrate_flow(rhs, np.array([1.0 + 0j, 2.0]), t_end=1.0, dt_max=0.25)
+        assert len(samples) - 1 == 4
+        # per step: k1 once, three stacked (2, N) rounds, four rounds of the second half step
+        assert calls == 4 * [(2,), (2, 2), (2, 2), (2, 2), (2,), (2,), (2,), (2,)]
+
+    def test_retried_trials_reuse_k1(self):
+        decay = lambda y: -y
+        serial, serial_calls = _counting(decay)
+        lock_step, calls = _counting(decay)
+        expected = serial_integrate_flow(serial, np.array([1.0 + 0j]), 1.0, 1.0)
+        samples = integrate_flow(lock_step, np.array([1.0 + 0j]), 1.0, 1.0)
+        _assert_same_samples(samples, expected)
+        trials, steps = len(serial_calls) // 12, len(samples) - 1
+        assert trials > steps  # the first steps are retried at smaller h
+        assert len(calls) == steps + 7 * trials
 
 
 class TestFdJacobian:
