@@ -155,6 +155,8 @@ def _config_from_args(
         floor = zeroflow.STEP_FLOOR * max(1.0, args.t_end)
         if not args.dt_max >= floor:  # integrate_flow's step floor; also catches 0 and nan
             parser.error(f"--dt-max (default t-end/50) must be >= {floor:.1e}, got {args.dt_max}")
+        if args.t_end / args.dt_max > zeroflow.MAX_FLOW_STEPS:  # at least that many steps
+            parser.error(f"--t-end/--dt-max must be at most {zeroflow.MAX_FLOW_STEPS}")
     if args.command == "sweep" and args.count < 1:
         parser.error(f"--count must be at least 1, got {args.count}")
 
@@ -440,6 +442,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"qz: i/o failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError:  # a last resort: no check bounds every allocation
+        print("qz: out of memory", file=sys.stderr)
         return EXIT_NUMERIC
     if text and not args.output_path:
         sys.stdout.write(text)

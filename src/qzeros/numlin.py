@@ -34,12 +34,16 @@ from .polyform import (
     DecimalComplex,
     RacahParams,
     Recurrence,
+    pair_value_and_derivative,
     recurrence_coefficients,
     x_to_z,
 )
 
 #: A double-precision polish must end on a relative Newton step at most this large.
 RESIDUAL_BOUND = 1e-10
+#: A double polish with a final step above this takes one more step at WORKING_DPS digits.
+#: On the verify grid's re-solves 1e-13 to 5e-13 gave the same verdicts; 5e-14 failed a cell.
+NOISY_DOUBLE_STEP = 3e-13
 #: Pairwise zero separations below this fraction of the spread are rejected.
 DEGENERACY_THRESHOLD = 1e-8
 #: Newton iteration cap per seed.
@@ -141,20 +145,39 @@ def _newton(rec: Recurrence, x, target: float):
     """Newton on P_N from x; returns (zero, final step relative to max(1, |zero|)).
 
     Stops at the target, or once the steps stop shrinking (the evaluation
-    noise floor).
+    noise floor). With DecimalComplex entries the steps run on Decimal pairs
+    from x converted once, and compare squared relative steps, so that only
+    the final step takes square roots.
     """
-    step_rel = math.inf
+    if rec.pairs is None:
+        step_rel = math.inf
+        with rec.arithmetic():
+            for _ in range(MAX_NEWTON_STEPS):
+                v, d = rec.value_and_derivative(x)
+                if d == 0:
+                    break
+                step = v / d
+                x = x - step
+                prev, step_rel = step_rel, float(abs(step)) / max(1.0, float(abs(x)))
+                if step_rel <= target or step_rel >= prev:
+                    break
+        return x, step_rel
     with rec.arithmetic():
+        x = DecimalComplex.of(x)
+        xr, xi, s2, rel2 = x.real, x.imag, None, None
         for _ in range(MAX_NEWTON_STEPS):
-            v, d = rec.value_and_derivative(x)
-            if d == 0:
+            vr, vi, dr, di = pair_value_and_derivative(rec.pairs, xr, xi)
+            den = dr * dr + di * di
+            if not den:
                 break
-            step = v / d
-            x = x - step
-            prev, step_rel = step_rel, float(abs(step)) / max(1.0, float(abs(x)))
-            if step_rel <= target or step_rel >= prev:
+            sr, si = (vr * dr + vi * di) / den, (vi * dr - vr * di) / den  # DecimalComplex's v / d
+            xr, xi = xr - sr, xi - si
+            s2, x2 = sr * sr + si * si, xr * xr + xi * xi
+            prev2, rel2 = rel2, s2 / max(Decimal(1), x2)
+            if rel2 <= Decimal(target) ** 2 or (prev2 is not None and rel2 >= prev2):
                 break
-    return x, step_rel
+        step_rel = math.inf if s2 is None else float(s2.sqrt()) / max(1.0, float(x2.sqrt()))
+    return DecimalComplex(xr, xi), step_rel
 
 
 def find_polynomial_zeros(rec: Recurrence) -> tuple[list, np.ndarray]:
@@ -249,13 +272,19 @@ def compute_zero_set(params: Union[AWParams, RacahParams], polish: bool = True) 
     digits and the zero set carries them and their recurrence at that
     precision. Without, they are polished in double only, which is enough
     where just the spectrum of the matrix built from them is compared at
-    1e-6.
+    1e-6; if that polish is noisy (a final step above NOISY_DOUBLE_STEP),
+    each zero takes one Newton step at WORKING_DPS digits, which is then its
+    certificate.
     Degree 0 is rejected: a constant polynomial has no zeros.
     """
     if params.N < 1:
         raise ValueError("zero sets require degree N >= 1")
     rec = recurrence_coefficients(params, hp=polish)
     polished, residuals = find_polynomial_zeros(rec)
+    if not polish and residuals.max() > NOISY_DOUBLE_STEP:
+        hp = recurrence_coefficients(params, hp=True)
+        polished, residuals = zip(*(_newton(hp, zero, math.inf) for zero in polished))
+        residuals = np.array(residuals)
     zeros = np.array([complex(x) for x in polished])
     xbar, zbar = (zeros, x_to_z(zeros)) if params.recurrence_in_x else (None, zeros)
     if params.N > 1:

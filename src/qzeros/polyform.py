@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import decimal
+import functools
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import ClassVar
@@ -273,7 +274,9 @@ class Recurrence:
     Askey-Wilson, in z for q-Racah. Its zeros are the eigenvalues of the
     tridiagonal (Jacobi) matrix with diagonal b and off-diagonal products c.
     ``dps`` is None for complex entries, or the precision in digits of
-    DecimalComplex entries, at which the evaluations below then run.
+    DecimalComplex entries, at which the evaluations below then run. ``value``
+    runs on their Decimal parts (``pairs``) at a DecimalComplex argument, as
+    does numlin's Newton polish with ``pair_value_and_derivative``.
     """
 
     b: tuple
@@ -284,6 +287,13 @@ class Recurrence:
     def degree(self) -> int:
         return len(self.b)
 
+    @functools.cached_property
+    def pairs(self) -> tuple | None:
+        """(b.real, b.imag, c.real, c.imag) per step if every entry is a DecimalComplex."""
+        if all(type(v) is DecimalComplex for v in self.b + self.c):
+            return tuple((b.real, b.imag, c.real, c.imag) for b, c in zip(self.b, self.c))
+        return None
+
     def arithmetic(self):
         """Context in which arithmetic on the entries runs at their precision."""
         return working_precision(self.dps)
@@ -291,6 +301,8 @@ class Recurrence:
     def value(self, t):
         """P_N(t)."""
         with self.arithmetic():
+            if type(t) is DecimalComplex and self.pairs is not None:
+                return DecimalComplex(*pair_value_and_derivative(self.pairs, t.real, t.imag, False))
             prev, cur = 0, 1
             for b, c in zip(self.b, self.c):
                 prev, cur = cur, (t - b) * cur - c * prev
@@ -306,6 +318,23 @@ class Recurrence:
                 dprev, dcur = dcur, cur + u * dcur - c * dprev
                 prev, cur = cur, u * cur - c * prev
             return cur, dcur
+
+
+def pair_value_and_derivative(pairs: tuple, tr: Decimal, ti: Decimal, derivative: bool = True):
+    """Re and Im of P_N(t), then of P_N'(t) with ``derivative``, at t = tr + i ti: the
+    Recurrence loops on DecimalComplex unrolled, in its order of operations, so bit for bit."""
+    pr = pi = dpr = dpi = dkr = dki = Decimal(0)  # P_{-1}, P_{-1}', P_0' as converted ints
+    kr, ki = Decimal(1), Decimal(0)  # P_0
+    for br, bi, cr, ci in pairs:
+        ur, ui = tr - br, ti - bi
+        if derivative:
+            dvr = (kr + (ur * dkr - ui * dki)) - (cr * dpr - ci * dpi)
+            dvi = (ki + (ur * dki + ui * dkr)) - (cr * dpi + ci * dpr)
+            dpr, dpi, dkr, dki = dkr, dki, dvr, dvi
+        vr = (ur * kr - ui * ki) - (cr * pr - ci * pi)
+        vi = (ur * ki + ui * kr) - (cr * pi + ci * pr)
+        pr, pi, kr, ki = kr, ki, vr, vi
+    return (kr, ki, dkr, dki) if derivative else (kr, ki)
 
 
 def _aw_recurrence(p: AWParams, num) -> tuple[list, list, list]:

@@ -9,6 +9,10 @@ velocities together against the matrices.
 ``serial_integrate_flow``: the step-doubling RK4 loop as three serial
 single-state steps per trial, 12 rhs calls, that ``integrate_flow`` must
 reproduce bit for bit with its 8.
+
+``serial_fd_jacobian``: the central-difference Jacobian as a loop over the
+columns, two single-state rhs calls each, that ``fd_jacobian`` must
+reproduce bit for bit with its stacked calls, guards included.
 """
 
 from __future__ import annotations
@@ -27,7 +31,13 @@ from qzeros.errors import (
 from qzeros.numlin import SpectralMatrix, ZeroSet
 from qzeros.polyform import AWParams, RacahParams
 from qzeros.report import VerificationReport
-from qzeros.zeroflow import FAMILIES, LINEARIZATION_TOL, LOCAL_ERROR_TARGET, integrate_flow
+from qzeros.zeroflow import (
+    FAMILIES,
+    FD_STEP,
+    LINEARIZATION_TOL,
+    LOCAL_ERROR_TARGET,
+    integrate_flow,
+)
 
 
 def linearization_check(
@@ -106,3 +116,18 @@ def serial_integrate_flow(rhs, y0, t_end, dt_max):
         if err < 0.03 * LOCAL_ERROR_TARGET * scale:
             h = min(2.0 * h, dt_max)
     return samples
+
+
+def serial_fd_jacobian(rhs, y):
+    """fd_jacobian's columns, each from one rhs call on each of its two perturbed states."""
+    y = np.asarray(y, dtype=complex)
+    n = len(y)
+    jac = np.empty((n, n), dtype=complex)
+    for m in range(n):
+        hm = FD_STEP * max(1.0, abs(y[m]))
+        y_plus = y.copy()
+        y_minus = y.copy()
+        y_plus[m] += hm
+        y_minus[m] -= hm
+        jac[:, m] = (rhs(y_plus) - rhs(y_minus)) / (2.0 * hm)
+    return jac

@@ -9,6 +9,7 @@ high-precision stage as it went in.
 import cmath
 import dataclasses
 import decimal
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import qzeros
-from qzeros import awspec, polyform, racahspec
+from qzeros import awspec, numlin, polyform, racahspec
 from qzeros.errors import DegenerateDenominator, QZerosError
 from qzeros.numlin import compute_zero_set, find_polynomial_zeros
 from qzeros.polyform import (
@@ -154,6 +155,74 @@ class TestConversion:
         assert Fraction(dc.real) == Fraction(value.real)
         assert Fraction(dc.imag) == Fraction(value.imag)
         assert complex(dc) == value
+
+
+def _bits(value) -> tuple:
+    """Sign, digits and exponent of both parts: equal values of another form differ."""
+    return value.real.as_tuple(), value.imag.as_tuple()
+
+
+def object_newton(rec, x, target):
+    """numlin._newton's loop on DecimalComplex objects, comparing the relative steps as
+    doubles; Recurrence.value_and_derivative runs on the objects."""
+    step_rel = math.inf
+    with rec.arithmetic():
+        for _ in range(numlin.MAX_NEWTON_STEPS):
+            v, d = rec.value_and_derivative(x)
+            if d == 0:
+                break
+            step = v / d
+            x = x - step
+            prev, step_rel = step_rel, float(abs(step)) / max(1.0, float(abs(x)))
+            if step_rel <= target or step_rel >= prev:
+                break
+    return x, step_rel
+
+
+class TestDecimalPairKernels:
+    """The kernels on Decimal pairs against the DecimalComplex arithmetic, bit for bit."""
+
+    @staticmethod
+    def random_recurrence(seed: int, n: int, real: bool) -> Recurrence:
+        stream = SplitMix64(seed)
+
+        def entry():
+            re = Decimal(4 * stream.next_float() - 2) / 3
+            im = Decimal(0) if real else Decimal(stream.next_float() - 0.5) / 7
+            return DecimalComplex(re, im)
+
+        with working_precision(WORKING_DPS):
+            b, c = (tuple(entry() for _ in range(n)) for _ in "bc")
+        return Recurrence(b, c, dps=WORKING_DPS)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_value_and_derivative(self, seed, real):
+        rec = self.random_recurrence(seed, 1 + 5 * seed, real)
+        stream = SplitMix64(100 + seed)
+        for _ in range(4):
+            t = DecimalComplex.of(
+                complex(4 * stream.next_float() - 2, 0 if real else stream.next_float() - 0.5)
+            )
+            value, derivative = rec.value_and_derivative(t)  # on the objects
+            with rec.arithmetic():
+                pair = polyform.pair_value_and_derivative(rec.pairs, t.real, t.imag)
+            assert [part.as_tuple() for part in pair] == [*_bits(value), *_bits(derivative)]
+            # a complex argument runs value on the objects, a DecimalComplex on the pairs
+            assert _bits(rec.value(t)) == _bits(rec.value(complex(t))) == _bits(value)
+
+    @pytest.mark.parametrize("family", ["aw", "racah"])
+    @pytest.mark.parametrize("q", [0.3, 0.6, 0.5 + 0.2j])
+    @pytest.mark.parametrize("n", [4, 10, 24])
+    def test_newton_from_the_jacobi_seeds(self, family, q, n):
+        # the polish to 10^-(dps/2), and the single step of a noisy double polish
+        draw = draw_aw_params if family == "aw" else draw_racah_params
+        rec = recurrence_coefficients(draw(SplitMix64(0), complex(q), n), hp=True)
+        for seed in numlin._jacobi_eigenvalues(rec):
+            for target in (10.0 ** -(rec.dps // 2), math.inf):
+                zero, step = numlin._newton(rec, complex(seed), target)
+                expected_zero, expected_step = object_newton(rec, complex(seed), target)
+                assert (_bits(zero), step) == (_bits(expected_zero), expected_step)
 
 
 def test_hp_recurrence_degree_drop_rejected():

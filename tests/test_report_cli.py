@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qzeros import zeroflow
 from qzeros.cli import main, parse_complex
 from qzeros.polyform import AWParams
 from qzeros.report import (
@@ -16,7 +17,7 @@ from qzeros.report import (
     render_report_json,
     resolve_tolerances,
 )
-from qzeros.sweeps import SplitMix64, draw_racah_params
+from qzeros.sweeps import SplitMix64, draw_aw_params, draw_racah_params
 from qzeros.zeroflow import FAMILIES
 
 AW_ARGS = ["--family", "aw", "-a", "2", "-b", "3", "-c", "4", "-d", "5", "-q", "0.5", "-N", "1"]
@@ -248,6 +249,17 @@ class TestCliErrorMapping:
         assert code == 3
         assert "z^2-1" in err
 
+    def test_memory_error_exit_code(self, monkeypatch, capsys):
+        # a last resort: an allocation beyond memory exits 3, not 1 with a traceback
+        from qzeros import cli
+
+        def boom(args, params, overrides):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "zeros", boom)
+        assert main(["zeros", *AW_ARGS]) == 3
+        assert "out of memory" in capsys.readouterr().err
+
     def test_missing_family_parameters_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["verify", "--family", "aw", "-a", "2", "-q", "0.5", "-N", "1"])
@@ -281,6 +293,13 @@ class TestExitCodeTable:
         # a step cap below the integrator's floor 1e-14 * max(1, t_end), given or t-end/50
         "flow dt-max 1e-16": (["flow", *AW_N3, "--dt-max", "1e-16"], 4),
         "flow t-end 1e-16": (["flow", *AW_N3, "--t-end", "1e-16"], 4),
+        # t-end/dt-max steps above integrate_flow's budget: rejected before any step
+        "flow t-end/dt-max above the step budget": (
+            ["flow", *AW_N3, "--t-end", "0.05", "--dt-max", "1e-14", "--format", "csv"],
+            4,
+        ),
+        # more trials than the budget (cut to 10 below): stopped mid-flow
+        "flow over its step budget mid-flow": (["flow", *AW_N3, "--dt-max", "0.05"], 3),
         "flow epsilon 0": (["flow", *AW_N3, "--epsilon", "0"], 4),
         "flow epsilon beyond the zero separation": (["flow", *AW_N3, "--epsilon", "1"], 4),
         "sweep count 0": (_sweep(count="0"), 4),
@@ -317,12 +336,16 @@ class TestExitCodeTable:
 
     #: environment variables set for a case
     ENV = {"failing run, QZ_TOL_SCALE inf": {"QZ_TOL_SCALE": "inf"}}
+    #: zeroflow constants set for a case
+    CONSTANTS = {"flow over its step budget mid-flow": {"MAX_FLOW_STEPS": 10}}
 
     @pytest.mark.parametrize("case", TABLE)
     def test_exit_code(self, case, capsys, monkeypatch):
         argv, expected = self.TABLE[case]
         for name, value in self.ENV.get(case, {}).items():
             monkeypatch.setenv(name, value)
+        for name, value in self.CONSTANTS.get(case, {}).items():
+            monkeypatch.setattr(zeroflow, name, value)
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -420,6 +443,17 @@ class TestSweepMatchesVerify:
                 prefix, _, name = row[0].partition(".")
                 assert prefix == f"set{i:02d}"
                 assert row[1:] == verify_rows[name], name
+
+
+def test_noisy_isospectral_resolve_takes_a_working_precision_step():
+    # the seed-10 Askey-Wilson draw at q = 0.6, N = 24 (a verify-grid cell): a double polish
+    # of its scaled parameters ends above NOISY_DOUBLE_STEP, and on those zeros the
+    # isospectral gap failed its 1e-6 tolerance
+    from qzeros.cli import run_verify
+
+    report = run_verify(draw_aw_params(SplitMix64(10), 0.6, 24))
+    check = next(c for c in report.checks if c.name == "cor2.2.2-isospectral")
+    assert check.passed
 
 
 class TestUnrepresentableResidual:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle
-from flow_oracle import linearization_check, serial_integrate_flow
+from flow_oracle import linearization_check, serial_fd_jacobian, serial_integrate_flow
 from qzeros import awspec, racahspec, zeroflow
 from qzeros.errors import SingularConfiguration, SingularTrajectory, guard
 from qzeros.numlin import compute_zero_set
@@ -221,6 +221,15 @@ class TestLockStepIntegrator:
             first_row.value.magnitude,
         )
 
+    def test_step_budget_stops_with_the_partial_trajectory(self, monkeypatch):
+        # a flow at rest takes 10 steps of dt_max, each in one trial; the budget allows 3
+        monkeypatch.setattr(zeroflow, "MAX_FLOW_STEPS", 3)
+        rhs, calls = _counting(lambda y: np.zeros_like(y))
+        with pytest.raises(SingularTrajectory, match="more than 3 RK4 trials") as info:
+            integrate_flow(rhs, np.array([1.0 + 0j]), t_end=1.0, dt_max=0.1)
+        assert [t for t, _ in info.value.trajectory] == pytest.approx([0.0, 0.1, 0.2, 0.3])
+        assert len(calls) == 3 * 8 + 1
+
     def test_eight_rhs_calls_per_trial(self):
         rhs, calls = _counting(lambda y: np.zeros_like(y))
         samples = integrate_flow(rhs, np.array([1.0 + 0j, 2.0]), t_end=1.0, dt_max=0.25)
@@ -243,7 +252,7 @@ class TestLockStepIntegrator:
 class TestFdJacobian:
     def test_linear_map_recovered(self):
         a0 = np.array([[1.0, 2.0 - 1j], [0.5j, -3.0]], dtype=complex)
-        rhs = lambda y: a0 @ y
+        rhs = lambda y: y @ a0.T  # row by row, as fd_jacobian's stacked states need
         jac = fd_jacobian(rhs, np.array([0.3 + 0j, -0.4 + 0.2j]))
         assert np.max(np.abs(jac - a0)) <= 1e-9
 
@@ -251,6 +260,35 @@ class TestFdJacobian:
         rhs = lambda y: y**2
         jac = fd_jacobian(rhs, np.zeros(3, dtype=complex))
         assert np.max(np.abs(jac)) <= 1e-10
+
+    @pytest.mark.parametrize("family", ["aw", "racah"])
+    @pytest.mark.parametrize("q", [0.3, 0.6])
+    @pytest.mark.parametrize("n", [4, 10, 16, 24])
+    def test_same_columns_as_the_column_loop(self, family, q, n):
+        # the seed-0 verify-grid cells of the benchmark, at their zeros
+        fam = FAMILIES[family]
+        p = fam.draw(SplitMix64(0), complex(q), n)
+        rhs, y = velocity(p), fam.position(compute_zero_set(p))
+        assert np.array_equal(fd_jacobian(rhs, y), serial_fd_jacobian(rhs, y))
+
+    def test_same_guard_as_the_column_loop(self):
+        # column 0's plus state collides x_0 with x_1, a pair guard; column 1's plus state,
+        # two rows later in the same block, puts x_1 at 1, where z^2-1 = 0: a point guard,
+        # which a stacked velocity call names before any pair guard
+        p, _ = aw_instance(0, 0.3, 4)
+        h = zeroflow.FD_STEP
+        y = np.array([1.0 - 2 * h, 1.0 - h, 0.1, 0.5], dtype=complex)
+        point = y.copy()
+        point[1] += h
+        with pytest.raises(SingularConfiguration, match="z\\^2-1"):
+            velocity(p)(point)
+        outcomes = []
+        for jacobian in (serial_fd_jacobian, fd_jacobian):
+            with pytest.raises(SingularConfiguration) as info:
+                jacobian(velocity(p), y)
+            outcomes.append((info.value.guard, info.value.magnitude))
+        assert outcomes[0][0] == "z_n-z_m"
+        assert outcomes[1] == outcomes[0]
 
     @pytest.mark.parametrize("family", ["aw", "racah"])
     @pytest.mark.parametrize("n", [1, 3, 6])
