@@ -24,25 +24,37 @@ digits in numlin's ZeroSet.identity_residuals, the loop shared with q-Racah.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import guard as _guard
 from .numlin import SpectralMatrix, ZeroSet
-from .polyform import AWParams, ComplexScalar, DecimalComplex, z_to_x
+from .polyform import AWParams, ComplexScalar, DecimalComplex, _linear_products, z_to_x
 from .report import spectrum_closed_form
 
 
-def _A(q, a, b, c, d, z):
-    """A(z) without guards: elementwise, or on DecimalComplex (all arguments, in its context)."""
+@functools.lru_cache(maxsize=8)
+def _A_factors(p: AWParams) -> tuple:
+    """A's numerator 1 - a z, ..., 1 - d z as the (offsets, slopes) of polyform._linear_products,
+    formed once per parameter set; DecimalComplex arithmetic converts them exactly."""
+    return np.ones((4, 1), dtype=complex), -np.array([[p.a], [p.b], [p.c], [p.d]], dtype=complex)
+
+
+def _A(q, factors, z, guards=lambda *_: None):
+    """A(z) from _A_factors, elementwise on numpy arrays or on DecimalComplex (q and z, in its
+    context); guards(1 - z^2, 1 - q z^2) runs before the division by them."""
     z2 = z * z
-    return (1 - a * z) * (1 - b * z) * (1 - c * z) * (1 - d * z) / ((1 - z2) * (1 - q * z2))
+    den0, den1 = 1 - z2, 1 - q * z2
+    guards(den0, den1)
+    (numerator,) = _linear_products(*factors, z)[1]
+    return numerator / (den0 * den1)
 
 
 def eval_A(p: AWParams, z: ComplexScalar) -> ComplexScalar:
     """A(z) with guards on 1 - z^2 and 1 - q z^2; A(0) = 1. Elementwise."""
-    z2 = z * z
-    _guard((abs(1.0 - z2), "z^2-1"), (abs(1.0 - p.q * z2), "q*z^2-1"))
-    return _A(p.q, p.a, p.b, p.c, p.d, z)
+    guards = lambda den0, den1: _guard((abs(den0), "z^2-1"), (abs(den1), "q*z^2-1"))
+    return _A(p.q, _A_factors(p), z, guards)
 
 
 def eval_G_pair(p: AWParams, z: ComplexScalar) -> tuple[ComplexScalar, ComplexScalar]:
@@ -77,22 +89,18 @@ def _reciprocal(z: np.ndarray) -> np.ndarray:
         return 1.0 / z
 
 
+@functools.lru_cache(maxsize=None)
 def _off_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the pairs n != m, in row-major order."""
+    """Row and column indices of the pairs n != m, in row-major order (shared: read only)."""
     return np.nonzero(~np.eye(n, dtype=bool))
 
 
 def _kernel_matrix(q: ComplexScalar, w: np.ndarray) -> np.ndarray:
-    """K[..., n, m, j] = K(w[..., n, j], w[..., m, j]) for n != m, ones on the diagonal.
-
-    The pair kernel of both the flow velocity and M, whose row products are
-    prod_{l!=n} K(w_n, w_l). w is (..., N, 2), z_n and 1/z_n side by side,
-    under any leading batch axes. The guards name the first failing pair in
-    row-major order.
-    """
-    rows, cols = _off_diagonal(w.shape[-2])
-    k = np.ones(w.shape[:-1] + w.shape[-2:], dtype=complex)
-    k[..., rows, cols, :] = eval_K(q, w[..., rows, :], w[..., cols, :])
+    """M's pair kernel K[n, m, j] = K(w[n, j], w[m, j]), n != m, ones on the diagonal, at w =
+    (z_n, 1/z_n) side by side, (N, 2); the guards name the first failing pair, row-major."""
+    rows, cols = _off_diagonal(len(w))
+    k = np.ones((len(w),) + w.shape, dtype=complex)
+    k[rows, cols, :] = eval_K(q, w[rows, :], w[cols, :])
     return k
 
 
@@ -162,10 +170,11 @@ def prop21_residuals(p: AWParams, zs: ZeroSet) -> np.ndarray:
     eval_A(p, np.asarray(zs.zbar, dtype=complex))  # enforce the guards on the stored zeros
 
     def terms(rec):
-        q, a, b, c, d = map(DecimalComplex.of, (p.q, p.a, p.b, p.c, p.d))
+        q = DecimalComplex.of(p.q)
+        factors = [[list(map(DecimalComplex.of, row)) for row in part] for part in _A_factors(p)]
         return lambda z: (
-            _A(q, a, b, c, d, z) * rec.value(z_to_x(q * z)),
-            _A(q, a, b, c, d, 1 / z) * rec.value(z_to_x(z / q)),
+            _A(q, factors, z) * rec.value(z_to_x(q * z)),
+            _A(q, factors, 1 / z) * rec.value(z_to_x(z / q)),
         )
 
     return zs.identity_residuals(p, terms)

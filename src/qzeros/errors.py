@@ -59,6 +59,12 @@ def first_failure(*bad) -> tuple[int, int]:
     return k, next(j for j, mask in enumerate(bad) if np.asarray(mask).flat[k])
 
 
+def clear(*magnitudes) -> bool:
+    """guard's passing test, one min over the magnitudes stacked (a NaN fails it)."""
+    stacked = np.asarray(magnitudes[0] if len(magnitudes) == 1 else magnitudes)
+    return stacked.min(initial=np.inf) > GUARD_EPS
+
+
 def guard(*checks) -> None:
     """Raise SingularConfiguration unless every magnitude exceeds GUARD_EPS.
 
@@ -66,12 +72,9 @@ def guard(*checks) -> None:
     arrays of one shape. The first failure in the order of first_failure is
     named, with its magnitude. NaN fails.
     """
-    mags = [np.asarray(m) for m, _ in checks]
-    low = mags[0]
-    for m in mags[1:]:
-        low = np.minimum(low, m)
-    if low.min(initial=np.inf) > GUARD_EPS:  # a NaN propagates to here and fails
+    if clear(*(m for m, _ in checks)):
         return
+    mags = [np.asarray(m) for m, _ in checks]
     k, j = first_failure(*(~(m > GUARD_EPS) for m in mags))
     raise SingularConfiguration(checks[j][1], float(mags[j].flat[k]))
 

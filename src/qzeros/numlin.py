@@ -239,6 +239,19 @@ def eigenvalues(mat: np.ndarray) -> np.ndarray:
         raise NoConvergence(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
+def christoffel_darboux_eigenvalues(entries: np.ndarray, zs: ZeroSet) -> np.ndarray:
+    """Eigenvalues of A = M or L built from zs, solved as S^-1 A S, S_n = sqrt(P_{N-1}(t_n) /
+    P_N'(t_n)) at the zeros: complex symmetric by Christoffel-Darboux (Szego, Orthogonal
+    Polynomials, 3.2), so far better conditioned. A as given where S is 0 or not finite."""
+    t, rec = (zs.zbar if zs.xbar is None else zs.xbar), recurrence_coefficients(zs.params)
+    slope = t[:, None] - t[None, :]  # P_N'(t_n) = prod_{m!=n} (t_n - t_m), P_N being monic
+    np.fill_diagonal(slope, 1.0)
+    with np.errstate(all="ignore"):  # a vanishing or overflowing S shows in the check below
+        s = np.sqrt(Recurrence(rec.b[:-1], rec.c[:-1]).value(t) / slope.prod(axis=1))
+        scaled = entries * s / s[:, None]
+    return eigenvalues(scaled if np.all(np.isfinite(scaled.view(float))) else entries)
+
+
 def match_spectra(
     computed: Sequence[ComplexScalar], predicted: Sequence[ComplexScalar]
 ) -> SpectrumMatch:

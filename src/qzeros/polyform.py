@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import decimal
 import functools
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import ClassVar
@@ -31,11 +32,15 @@ from .errors import DegenerateDenominator, NoConvergence, ZeroArgument
 from .qkernel import ComplexScalar, qpochhammer
 
 
+#: Largest admitted degree: at N = 500 one qz verify takes 25 s and 197 MB (README).
+MAX_DEGREE = 500
+
+
 def check_base(q: complex, n: int) -> None:
     """Reject a base q and degree N that no parameter set admits.
 
     q must differ from 0 and 1 and must not be a root of unity of order at
-    most N, where (q^-N;q)_N = 0; q^(+-N) must lie in the double range.
+    most N, where (q^-N;q)_N = 0; q^(+-N) must lie in the double range; N <= MAX_DEGREE.
     """
     if q == 0 or q == 1:
         raise ValueError(f"q must differ from 0 and 1, got {q}")
@@ -44,6 +49,8 @@ def check_base(q: complex, n: int) -> None:
     with _double_range(q, n):
         if qpochhammer(q**-n, q, n) == 0:
             raise DegenerateDenominator("(q^-N;q)_N = 0: q is a low-order root of unity")
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree N = {n} exceeds the maximum degree {MAX_DEGREE}")
 
 
 @contextlib.contextmanager
@@ -263,6 +270,17 @@ class DecimalComplex:
 def _sqrt(w):
     """Principal square root of a DecimalComplex, or elementwise as a complex numpy array."""
     return w.sqrt() if type(w) is DecimalComplex else np.sqrt(np.asarray(w, dtype=complex))
+
+
+def _linear_products(offsets, slopes, z):
+    """(factors, products) of offsets[k][g] + slopes[k][g] z, each column g's K factors multiplied
+    in order: (K, G, *z.shape) and (G, *z.shape) from (K, G) arrays, or nested lists."""
+    if type(z) is DecimalComplex:
+        factors = [[o + s * z for o, s in zip(*row)] for row in zip(offsets, slopes)]
+        return factors, [math.prod(column) for column in zip(*factors)]
+    factors = np.multiply.outer(slopes, z)
+    factors += offsets.reshape(offsets.shape + (1,) * np.ndim(z))
+    return factors, math.prod(factors)
 
 
 @dataclass(frozen=True)

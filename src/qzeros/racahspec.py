@@ -24,15 +24,15 @@ them at WORKING_DPS digits in numlin's ZeroSet.identity_residuals.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GUARD_EPS, BranchDegenerate, first_failure, guard as _guard
+from .errors import GUARD_EPS, BranchDegenerate, clear, first_failure, guard as _guard
 from .numlin import SpectralMatrix, ZeroSet
-from .polyform import ComplexScalar, DecimalComplex, RacahParams, _sqrt
+from .polyform import ComplexScalar, DecimalComplex, RacahParams, _linear_products, _sqrt
 from .report import spectrum_closed_form
 
 
@@ -64,12 +64,14 @@ def _structure(q, al, be, ga, de) -> Callable:
     elementwise on complex scalars and arrays, or on DecimalComplex (parameters too, in
     the working-precision context). No guards of its own: guards(z, discriminant, Z^2
     denominators) runs before the divisions by them. B and D/q are products of linear
-    factors c0 + c1 Z, never divided by one."""
+    factors c0 + c1 Z, never divided by one, multiplied as one stack."""
     gd = ga * de
     gdq = gd * q
     corr = (1 - q * q) / (2 * q)
-    b_slopes = (-al * q, -be * de * q, -ga * q, -gd * q)
-    d_offsets, d_slopes = (1, 1, be, al), (-1, -de, -ga, -gd)
+    offsets = ((1, 1), (1, 1), (1, be), (1, al))  # columns: B's factors, D/q's factors
+    slopes = ((-al * q, -1), (-be * de * q, -de), (-ga * q, -ga), (-gd * q, -gd))
+    if type(q) is not DecimalComplex:
+        offsets, slopes = np.array(offsets, dtype=complex), np.array(slopes, dtype=complex)
 
     def at(z, branch: int, derivatives: bool, guards: Callable = lambda *_: None):
         disc = z * z - 4 * gdq
@@ -80,10 +82,9 @@ def _structure(q, al, be, ga, de) -> Callable:
         z2 = zval * zval
         den0, den1, den2 = 1 - gd * z2, 1 - gdq * z2, 1 - gd * q * q * z2
         guards(z, disc, (den0, den1, den2))
-        b_factors = [1 + c1 * zval for c1 in b_slopes]
-        d_factors = [c0 + c1 * zval for c0, c1 in zip(d_offsets, d_slopes)]
-        bval = math.prod(b_factors) / (den1 * den2)
-        dval = q * math.prod(d_factors) / (den0 * den1)
+        factors, (b_product, d_product) = _linear_products(offsets, slopes, zval)
+        bval = b_product / (den1 * den2)
+        dval = q * d_product / (den0 * den1)
         pt = _PointStructure(z_plus, z_minus, zval, bval, dval, None, None, None, None)
         if derivatives:
             ratio = z / s  # dS/dz
@@ -91,8 +92,9 @@ def _structure(q, al, be, ga, de) -> Callable:
             slope = corr * (1.0 - ratio)
             b_dd = -2.0 * gdq * zval * den2 - 2.0 * gd * q * q * zval * den1
             d_dd = -2.0 * gd * zval * den1 - 2.0 * gdq * zval * den0
-            pt.Bp = (_product_slope(b_factors, b_slopes) - bval * b_dd) / (den1 * den2) * dzdz
-            pt.Dp = (q * _product_slope(d_factors, d_slopes) - dval * d_dd) / (den0 * den1) * dzdz
+            b_slope, d_slope = (_product_slope(factors[:, g], slopes[:, g]) for g in (0, 1))
+            pt.Bp = (b_slope - bval * b_dd) / (den1 * den2) * dzdz
+            pt.Dp = (q * d_slope - dval * d_dd) / (den0 * den1) * dzdz
             pt.Cplus, pt.Cminus = q + slope, 1.0 / q - slope
         return pt
 
@@ -108,6 +110,8 @@ def _point_guards(z, disc, dens) -> None:
         (abs(den2), "1-gamma*delta*q^2*Z^2"),
         (abs(den0), "1-gamma*delta*Z^2"),
     )
+    if clear(abs(disc), *(m for m, _ in checks)):
+        return
     degenerate = abs(disc) < GUARD_EPS
     if degenerate.any():
         k, j = first_failure(degenerate, *(~(m > GUARD_EPS) for m, _ in checks))
@@ -129,26 +133,23 @@ def point_structure(
     1-gamma*delta*q^2*Z^2, 1-gamma*delta*Z^2. Without ``derivatives``
     (the flow needs none) Bp, Dp, Cplus and Cminus are None.
     """
+    return _structure_of(p)(z, branch, derivatives, _point_guards)
+
+
+@functools.lru_cache(maxsize=8)
+def _structure_of(p: RacahParams) -> Callable:
+    """_structure of p, formed once per parameter set that passes the gamma*delta*q guard."""
     _guard((abs(p.gammadelta * p.q), "gamma*delta*q"))
-    return _structure(p.q, p.alpha, p.beta, p.gamma, p.delta)(z, branch, derivatives, _point_guards)
+    return _structure(p.q, p.alpha, p.beta, p.gamma, p.delta)
 
 
 def _pair_differences(z: np.ndarray, z_plus: np.ndarray, z_minus: np.ndarray):
-    """Pair arrays (d, d_plus, d_minus) at the points z, with ones on their diagonals.
-
-    d[..., n, m] = z_n - z_m and d_plus/minus[..., n, m] = z_n^(+/-) - z_m,
-    under any leading batch axes of z. The row products of d_plus/d and
-    d_minus/d are the leave-one-out ratio products
-    prod_{l!=n} (z_n^(+/-) - z_l)/(z_n - z_l) of both the flow velocity and
-    L; the callers guard the differences they divide by.
-    """
-    d = z[..., :, None] - z[..., None, :]
-    d_plus = z_plus[..., :, None] - z[..., None, :]
-    d_minus = z_minus[..., :, None] - z[..., None, :]
-    diagonal = np.arange(z.shape[-1])
-    for pair in (d, d_plus, d_minus):
-        pair[..., diagonal, diagonal] = 1.0
-    return d, d_plus, d_minus
+    """L's pair arrays z_n - z_m and z_n^(+/-) - z_m, ones on their diagonals; the row products
+    of d_plus/d and d_minus/d are prod_{l!=n} (z_n^(+/-) - z_l)/(z_n - z_l)."""
+    pairs = [w[:, None] - z[None, :] for w in (z, z_plus, z_minus)]
+    for pair in pairs:
+        np.fill_diagonal(pair, 1.0)
+    return pairs
 
 
 def build_matrix_L(p: RacahParams, zs: ZeroSet, branch: int = +1) -> SpectralMatrix:

@@ -1,34 +1,18 @@
 """First-order flows whose fixed points are the polynomial zeros.
 
-Askey-Wilson flow on x-coordinates (z_n = x_n + sqrt(x_n^2 - 1)):
+Both flows have one operator form, which _operator_velocity evaluates:
 
-    dx_n/dt = (q-1)/(2 q^N) [ G(z_n) prod_{l!=n} K(z_n, z_l)
-                              + G(1/z_n) prod_{l!=n} K(1/z_n, 1/z_l) ],
+    dt_n/dt = sum_(+/-) c_+/-(t_n) (s_+/-(t_n) - t_n) prod_{l!=n} (s_+/-(t_n) - t_l)/(t_n - t_l).
 
-q-Racah flow on z-coordinates:
-
-    dz_n/dt = B(z_n) (z_n^(+) - z_n) prod_{l!=n} (z_n^(+)-z_l)/(z_n-z_l)
-            + D(z_n) (z_n^(-) - z_n) prod_{l!=n} (z_n^(-)-z_l)/(z_n-z_l).
-
-A validated zero set is an equilibrium of its flow, and the Jacobian there
-reproduces the spectral matrix (M or L) entrywise; fd_jacobian provides the
-finite-difference side of that consistency check. Both flows are
-autonomous, so a state is just the array of N positions, and a velocity
-maps states stacked as (..., N) to velocities of the same shape, row by
-row: each row's bits are those of a call on that row alone. The
-integrator is classical RK4 with step-doubling error control. It runs
-the step at h and the first step at h/2 as one (2, N) state, from one
-shared k1, so a trial takes 8 velocity calls instead of 12. It stops
-(raising SingularTrajectory with the partial trajectory attached) if a
-structure guard trips mid-flow.
-
-Both velocities run no Python loop over points, pairs or stacked states.
-They evaluate the structure functions on the whole position array and the
-pair factors on (..., N, N) arrays, with the kernels that build M and L:
-awspec._kernel_matrix on the points stacked as (z_n, 1/z_n), and
-racahspec.point_structure with racahspec._pair_differences. A guard names
-the first failing point, else the first failing pair, in row-major order
-over the stacked states.
+Askey-Wilson runs in t = x (z = x + sqrt(x^2 - 1)) with c = A(z), A(1/z), s = x(qz), x(z/q):
+as (x(q z_n) - x_m)/(x_n - x_m) = K(z_n, z_m)/q, that is the paper's (q-1)/(2 q^N)
+[G(z_n) prod_{l!=n} K(z_n, z_l) + G(1/z_n) prod_{l!=n} K(1/z_n, 1/z_l)]. q-Racah runs in
+t = z with c = B, D and s = z^(+), z^(-). A validated zero set is an equilibrium, where the
+Jacobian is M or L entrywise (fd_jacobian checks it). A state is the array of N positions;
+a velocity maps states stacked as (..., N) row by row, each row's bits those of a call on
+that row alone, with no Python loop over points, pairs or states, and a guard names the
+first failing point, else pair, in row-major order. integrate_flow runs RK4 with step
+doubling and raises SingularTrajectory, the partial trajectory attached, if a guard trips.
 
 This is the top library layer, so the ``Family`` record, which reaches
 into every layer below it, is defined here: ``FAMILIES`` maps each params
@@ -49,6 +33,7 @@ from .errors import (
     QZerosError,
     SingularConfiguration,
     SingularTrajectory,
+    clear,
     guard,
 )
 from .polyform import AWParams, RacahParams, x_to_z
@@ -73,26 +58,44 @@ LINEARIZATION_TOL = 1e-3
 VelocityFn = Callable[[np.ndarray], np.ndarray]
 
 
+def _operator_velocity(t: np.ndarray, c: np.ndarray, s: np.ndarray, pair_guards) -> np.ndarray:
+    """The module docstring's operator form at t (..., N), c and s stacked as (2, ..., N).
+    pair_guards(d) sees d = t_n - t_m before any division; row products run as per-row calls."""
+    step = t.shape[-1] + 1  # of the diagonal, in a flat view of each fresh (N, N) block
+    d = t[..., :, None] - t[..., None, :]
+    d.reshape(d.shape[:-2] + (-1,))[..., ::step] = 1.0
+    pair_guards(d)
+    ratios = s[..., :, None] - t[..., None, :]
+    ratios.reshape(ratios.shape[:-2] + (-1,))[..., ::step] = 1.0
+    ratios /= d
+    return np.add(*(c * (s - t) * ratios.prod(axis=-1)))  # the two shifts' terms
+
+
+def _guard_halves(*checks) -> None:
+    """guard on magnitudes stacked by half as (2, ...), named as (z_n, 1/z_n) side by side."""
+    if not clear(*(m for m, _ in checks)):
+        guard(*((np.moveaxis(m, 0, -1), name) for m, name in checks))
+
+
 def aw_velocity(p: AWParams, x: np.ndarray) -> np.ndarray:
-    """Askey-Wilson flow velocities at the x-positions (..., N), row by row."""
-    z = x_to_z(np.asarray(x, dtype=complex))
-    zw = np.stack([z, awspec._reciprocal(z)], axis=-1)  # row n: (z_n, 1/z_n)
-    guard((abs(zw), "z"))
-    g = awspec.eval_A(p, zw) * (p.q * zw - 1.0 / zw)  # G; eval_A guards z^2-1, q*z^2-1
-    prods = np.prod(awspec._kernel_matrix(p.q, zw), axis=-2)
-    terms = g * prods
-    return (p.q - 1.0) / (2.0 * p.q**p.N) * (terms[..., 0] + terms[..., 1])
+    """Askey-Wilson flow velocities at the x-positions (..., N), row by row, guarded as A, K."""
+    x = np.asarray(x, dtype=complex)
+    z = x_to_z(x)
+    w = np.array((z, awspec._reciprocal(z)))  # the halves z and 1/z, stacked as (2, ..., N)
+    _guard_halves((abs(w), "z"))
+    guards = lambda den0, den1: _guard_halves((abs(den0), "z^2-1"), (abs(den1), "q*z^2-1"))
+    c, qw = awspec._A(p.q, awspec._A_factors(p), w, guards), p.q * w
+    wn, wm = (w[..., i] for i in awspec._off_diagonal(x.shape[-1]))  # K's pairs, row-major
+    pairs = lambda _: _guard_halves((abs(wm - wn), "z_n-z_m"), (abs(wn * wm - 1.0), "z_n*z_m-1"))
+    return _operator_velocity(x, c, 0.5 * (qw + 1.0 / qw), pairs)
 
 
 def racah_velocity(p: RacahParams, z: np.ndarray, branch: int = +1) -> np.ndarray:
-    """q-Racah flow velocities at the z-positions (..., N), row by row."""
+    """q-Racah flow velocities at the z-positions (..., N), row by row: t = z, c = B, D."""
     z = np.asarray(z, dtype=complex)
     pt = racahspec.point_structure(p, z, branch, derivatives=False)
-    d, d_plus, d_minus = racahspec._pair_differences(z, pt.z_plus, pt.z_minus)
-    guard((abs(d), "z_n-z_m"))
-    ratio_plus = np.prod(d_plus / d, axis=-1)
-    ratio_minus = np.prod(d_minus / d, axis=-1)
-    return pt.Bval * (pt.z_plus - z) * ratio_plus + pt.Dval * (pt.z_minus - z) * ratio_minus
+    c, s = np.array((pt.Bval, pt.Dval)), np.array((pt.z_plus, pt.z_minus))
+    return _operator_velocity(z, c, s, lambda d: guard((abs(d), "z_n-z_m")))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
 
 from monomial_oracle import monomial_coefficients
 from qzeros import awspec, polyform, racahspec
+from qzeros.cli import run_verify
 from qzeros.errors import DegenerateConfiguration, LengthMismatch
 from qzeros.numlin import (
+    christoffel_darboux_eigenvalues,
     compute_zero_set,
     eigenvalues,
     find_polynomial_zeros,
@@ -13,6 +17,7 @@ from qzeros.numlin import (
 )
 from qzeros.polyform import AWParams, RacahParams, Recurrence, recurrence_coefficients
 from qzeros.sweeps import SplitMix64, draw_aw_params, draw_racah_params
+from qzeros.zeroflow import FAMILIES
 
 
 #: The seed-0 draw of every gate cell: both families, q in {0.3, 0.6}, N in {16, 20, 24}.
@@ -92,6 +97,59 @@ class TestEigenvalues:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
+
+
+def cd_basis(p, zs):
+    """S_n = sqrt(P_{N-1}(t_n) / P_N'(t_n)) at the zeros t_n in the recurrence's variable."""
+    rec = recurrence_coefficients(p)
+    t = zs.zbar if zs.xbar is None else zs.xbar
+    below = Recurrence(rec.b[:-1], rec.c[:-1]).value(t)
+    return np.sqrt(below / np.array([rec.value_and_derivative(v)[1] for v in t]))
+
+
+class TestChristoffelDarbouxBasis:
+    # the verify-grid cells, all at q = 0.6, that failed the spectrum or isospectral check
+    # with eigenvalues of M and L themselves
+    CELLS = [("aw", 24, seed) for seed in (2, 7, 22, 23, 38)]
+    CELLS += [("racah", 24, seed) for seed in (11, 15, 25, 26, 28)] + [("racah", 16, 29)]
+
+    @pytest.mark.parametrize("family, n, seed", CELLS)
+    def test_ill_conditioned_grid_cells_pass(self, family, n, seed):
+        p = FAMILIES[family].draw(SplitMix64(seed), 0.6 + 0j, n)
+        assert run_verify(p, seed=seed).passed
+
+    @pytest.mark.parametrize("family", ["aw", "racah"])
+    @pytest.mark.parametrize("q", [0.3, 0.6, 0.5 + 0.2j, -0.4])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_similar_matrix_is_symmetric(self, family, q, n):
+        fam = FAMILIES[family]
+        p = fam.draw(SplitMix64(1), complex(q), n)
+        zs = compute_zero_set(p)
+        s = cd_basis(p, zs)
+        a = fam.build_matrix(p, zs).entries * s / s[:, None]
+        assert np.linalg.norm(a - a.T) <= 1e-12 * np.linalg.norm(a)
+
+    def test_same_spectrum_as_the_raw_basis(self):
+        p = draw_racah_params(SplitMix64(4), 0.5, 6)
+        zs = compute_zero_set(p)
+        entries = racahspec.build_matrix_L(p, zs).entries
+        match = match_spectra(christoffel_darboux_eigenvalues(entries, zs), eigenvalues(entries))
+        assert match.max_rel_gap <= 1e-12
+
+    @pytest.mark.parametrize("bad", ["zero", "nan"])
+    def test_degenerate_basis_solves_the_raw_matrix(self, bad):
+        # N = 2: P_1(t) = t - b_0 vanishes exactly at t = b_0, so S_0 = 0; a NaN position
+        # gives a NaN S_0
+        p = draw_aw_params(SplitMix64(0), 0.5, 2)
+        zs = compute_zero_set(p)
+        entries = awspec.build_matrix_M(p, zs).entries
+        t = zs.xbar.copy()
+        t[0] = recurrence_coefficients(p).b[0] if bad == "zero" else np.nan
+        hand_built = dataclasses.replace(zs, xbar=t)
+        with np.errstate(all="ignore"):
+            assert not np.all(np.isfinite(1 / cd_basis(p, hand_built)))
+        vals = christoffel_darboux_eigenvalues(entries, hand_built)
+        assert np.array_equal(vals, eigenvalues(entries))
 
 
 class TestMatchSpectra:

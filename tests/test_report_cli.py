@@ -324,6 +324,12 @@ class TestExitCodeTable:
         "q inf": (_aw_verify(q="inf"), 4),
         "q with a nan part": (_aw_verify(q="0.5+nani"), 4),
         "q^-N overflows": (_aw_verify(q="0.3", n="600"), 4),
+        # a degree above polyform.MAX_DEGREE: rejected before the zeros are sought
+        "zeros N 40000 above the maximum degree": (
+            ["zeros", "--family", "aw", "-a", "0.5", "-b", "0.6", "-c", "0.7", "-d", "0.8"]
+            + ["-q", "0.9999", "-N", "40000"],
+            4,
+        ),
         "q^(N-1) overflows": (_aw_verify(q="1e200"), 4),
         "q^N underflows": (_aw_verify(q="1e-300"), 4),
         # a tiny q is no rational 0; at 1e-100 mu_n^2 leaves the double range, and the

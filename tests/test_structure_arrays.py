@@ -20,6 +20,7 @@ from qzeros.errors import (
     guard,
 )
 from qzeros.numlin import compute_zero_set
+from qzeros.polyform import x_to_z
 from qzeros.sweeps import SplitMix64, draw_aw_params, draw_racah_params, unit_direction
 from qzeros.zeroflow import FAMILIES
 
@@ -101,6 +102,23 @@ class TestScalarOracle:
         assert compared > 0
 
 
+@pytest.mark.parametrize("family", ["aw", "racah"])
+def test_alternating_parameter_sets(family):
+    # the constants formed once per parameter set serve each set in turn
+    fam = FAMILIES[family]
+    cases = []
+    for seed in (1, 2):
+        p = fam.draw(SplitMix64(seed), 0.5 + 0.2j, 6)
+        positions = displaced(fam.position(compute_zero_set(p, polish=False)), seed)
+        scalar = oracle.aw_velocity if family == "aw" else oracle.racah_velocity
+        cases.append((p, positions, scalar(p, positions)))
+    first = [fam.velocity(p, positions) for p, positions, _ in cases]
+    for earlier, (p, positions, expected) in zip(first, cases):  # the sets again, in turn
+        v = fam.velocity(p, positions)
+        assert np.array_equal(v, earlier)
+        assert np.max(np.abs(v - expected)) <= VELOCITY_TOL * np.max(np.abs(expected))
+
+
 @pytest.mark.filterwarnings("error")
 class TestGuards:
     def test_coincident_aw_positions(self):
@@ -127,6 +145,18 @@ class TestGuards:
             zeroflow.racah_velocity(p, z)
         assert info.value.guard == "z_n-z_m"
         assert info.value.magnitude == 0.0
+
+    def test_near_collision_in_the_reciprocal_half(self):
+        # at |z| ~ 1e6, z_2 - z_1 = 2e-4 passes while 1/z_2 - 1/z_1 does not: the 1/z
+        # half of the pair guard names it, with the magnitude of 1/z_2 - 1/z_1
+        p = draw_aw_params(SplitMix64(0), 0.6, 4)
+        xs = compute_zero_set(p, polish=False).xbar.copy()
+        xs[1], xs[2] = 5e5, 5e5 + 1e-4
+        with pytest.raises(SingularConfiguration) as info:
+            zeroflow.aw_velocity(p, xs)
+        w = 1.0 / x_to_z(xs)
+        assert info.value.guard == "z_n-z_m"
+        assert info.value.magnitude == abs(w[2] - w[1]) == 2.0000014895626451e-16
 
     def test_racah_seed0_q06_n24_shift_collision(self):
         p = draw_racah_params(SplitMix64(0), 0.6, 24)
