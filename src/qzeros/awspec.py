@@ -1,17 +1,16 @@
-"""Askey-Wilson spectral layer: structure functions, the matrix M, identity residuals.
+"""Askey-Wilson spectral layer: the structure function A, the matrix M, identity residuals.
 
 The rational coefficient
 
     A(z) = (1-az)(1-bz)(1-cz)(1-dz) / [(1-z^2)(1-q z^2)]
 
-drives everything: G(z) = A(z)(qz - 1/z), the pair kernel
-
-    K(z_n, z_m) = (z_m - q z_n)(q z_n z_m - 1) / [(z_m - z_n)(z_n z_m - 1)],
-
-and the N x N matrix M assembled from the N zeros z_1..z_N. Every formula
-is evaluated twice, once on {z_s} and once on {1/z_s}, and the two halves
-are summed; no algebraic simplification is applied to that symmetrization.
-M's eigenvalues are predicted in closed form by
+drives everything. The flow and M take numlin's operator form in t = x = (z + 1/z)/2, its
+shifts the halves w = z, 1/z of each zero: c = A(w), s = x(qw). M, its Jacobian at the N
+zeros (numlin.operator_matrix), takes the x-slopes A'(w) dw/dx and (q - 1/(q w^2))/2 dw/dx,
+dw/dx = 2w^2/(w^2 - 1). This is the paper's (q-1)/(2 q^N) [G(z_n) prod_{l!=n} K(z_n, z_l)
++ (z -> 1/z)], G(z) = A(z)(qz - 1/z), K(z_n, z_m) = q (x(q z_n) - x_m)/(x_n - x_m), never
+divided by K's numerator (z_m - q z_n)(q z_n z_m - 1): only the point guards and x_n - x_m
+(z_n - z_m and z_n z_m - 1 on both halves) are genuine. M's spectrum is predicted by
 
     mu_n = q^(-N) (1 - q^n) (1 - abcd q^(2N-1-n)),    n = 1..N,
 
@@ -28,9 +27,16 @@ import functools
 
 import numpy as np
 
-from .errors import guard as _guard
-from .numlin import SpectralMatrix, ZeroSet
-from .polyform import AWParams, ComplexScalar, DecimalComplex, _linear_products, z_to_x
+from .errors import clear, guard as _guard
+from .numlin import SpectralMatrix, ZeroSet, operator_matrix
+from .polyform import (
+    AWParams,
+    ComplexScalar,
+    DecimalComplex,
+    _linear_products,
+    _product_slope,
+    z_to_x,
+)
 from .report import spectrum_closed_form
 
 
@@ -41,14 +47,19 @@ def _A_factors(p: AWParams) -> tuple:
     return np.ones((4, 1), dtype=complex), -np.array([[p.a], [p.b], [p.c], [p.d]], dtype=complex)
 
 
-def _A(q, factors, z, guards=lambda *_: None):
+def _A(q, factors, z, guards=lambda *_: None, slope: bool = False):
     """A(z) from _A_factors, elementwise on numpy arrays or on DecimalComplex (q and z, in its
-    context); guards(1 - z^2, 1 - q z^2) runs before the division by them."""
+    context); guards(1 - z^2, 1 - q z^2) runs before the division by them. With ``slope``,
+    (A(z), A'(z)) by the product and quotient rules."""
     z2 = z * z
     den0, den1 = 1 - z2, 1 - q * z2
     guards(den0, den1)
-    (numerator,) = _linear_products(*factors, z)[1]
-    return numerator / (den0 * den1)
+    linear, (numerator,) = _linear_products(*factors, z)
+    value = numerator / (den0 * den1)
+    if not slope:
+        return value
+    numerator_slope = _product_slope(linear[:, 0], factors[1][:, 0])
+    return value, (numerator_slope + value * 2 * z * (den1 + q * den0)) / (den0 * den1)
 
 
 def eval_A(p: AWParams, z: ComplexScalar) -> ComplexScalar:
@@ -57,81 +68,35 @@ def eval_A(p: AWParams, z: ComplexScalar) -> ComplexScalar:
     return _A(p.q, _A_factors(p), z, guards)
 
 
-def eval_G_pair(p: AWParams, z: ComplexScalar) -> tuple[ComplexScalar, ComplexScalar]:
-    """(G(z), G'(z)) with G = A(z)(qz - 1/z), differentiated exactly; elementwise.
-
-    The numerator (qz - 1/z) prod (1 - p z) and denominator
-    (1-z^2)(1-q z^2) are carried as (value, derivative) pairs so the
-    quotient rule never divides by a numerator factor that may vanish.
-    """
-    z2 = z * z
-    _guard((abs(z), "z"), (abs(1.0 - z2), "z^2-1"), (abs(1.0 - p.q * z2), "q*z^2-1"))
-    uv, ud = p.q * z - 1.0 / z, p.q + 1.0 / z2
-    for c in (p.a, p.b, p.c, p.d):
-        f, fp = 1.0 - c * z, -c
-        uv, ud = uv * f, ud * f + uv * fp
-    dv = (1.0 - z2) * (1.0 - p.q * z2)
-    dd = -2.0 * z * (1.0 - p.q * z2) - 2.0 * p.q * z * (1.0 - z2)
-    return uv / dv, (ud * dv - uv * dd) / (dv * dv)
+def _guard_halves(*checks) -> None:
+    """guard on magnitudes stacked by half as (2, ...), named as (z_n, 1/z_n) side by side."""
+    if not clear(*(m for m, _ in checks)):
+        _guard(*((np.moveaxis(m, 0, -1), name) for m, name in checks))
 
 
-def eval_K(q: ComplexScalar, zn: ComplexScalar, zm: ComplexScalar) -> ComplexScalar:
-    """Pair kernel K(z_n, z_m); collapses to 1 at q = 1. Elementwise."""
-    d1 = zm - zn
-    d2 = zn * zm - 1.0
-    _guard((abs(d1), "z_n-z_m"), (abs(d2), "z_n*z_m-1"))
-    return (zm - q * zn) * (q * zn * zm - 1.0) / (d1 * d2)
-
-
-def _reciprocal(z: np.ndarray) -> np.ndarray:
-    """1/z without a numpy warning; callers guard z itself first."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 / z
-
-
-@functools.lru_cache(maxsize=None)
-def _off_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the pairs n != m, in row-major order (shared: read only)."""
-    return np.nonzero(~np.eye(n, dtype=bool))
-
-
-def _kernel_matrix(q: ComplexScalar, w: np.ndarray) -> np.ndarray:
-    """M's pair kernel K[n, m, j] = K(w[n, j], w[m, j]), n != m, ones on the diagonal, at w =
-    (z_n, 1/z_n) side by side, (N, 2); the guards name the first failing pair, row-major."""
-    rows, cols = _off_diagonal(len(w))
-    k = np.ones((len(w),) + w.shape, dtype=complex)
-    k[rows, cols, :] = eval_K(q, w[rows, :], w[cols, :])
-    return k
-
-
-def _matrix_half(
-    q: ComplexScalar, w: np.ndarray, G: np.ndarray, Gp: np.ndarray, K: np.ndarray
-) -> np.ndarray:
-    """One symmetrization half of M, on coordinates w (either z or 1/z)."""
-    n = len(w)
-    rows, cols = _off_diagonal(n)
-    wi, wm = w[rows], w[cols]
-    d1 = wm - q * wi
-    d2 = q * wi * wm - 1.0
-    d3 = wm - wi
-    d4 = wi * wm - 1.0
-    # d3 and d4 are K's denominators, which eval_K has guarded on these same values
-    _guard((abs(d1), "z_m-q*z_n"), (abs(d2), "q*z_n*z_m-1"))
-    prod_k = np.prod(K, axis=1)
-    pref = 2.0 * w * w / (w * w - 1.0)
-    diag_sum = (-q / d1 + q * wm / d2 + 1.0 / d3 - wm / d4).reshape(n, n - 1).sum(axis=1)
-    bracket = 1.0 / d1 + q * wi / d2 - 1.0 / d3 - wi / d4
-    half = np.diag((pref * G * diag_sum + pref * Gp) * prod_k)
-    half[rows, cols] = pref[cols] * G[rows] * bracket * prod_k[rows]
-    return half
+def _operator_terms(p: AWParams, z: np.ndarray, slopes: bool = False) -> tuple:
+    """(c, s, pair_guards), with ``slopes`` (c, dc/dx, s, ds/dx, pair_guards), of the operator
+    form at z (..., N), stacked by half as (2, ..., N). Each half is guarded as A: z, then z^2-1
+    and q*z^2-1; pair_guards as x_n - x_m, by z_n-z_m and z_n*z_m-1 on both halves."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # the guard on z comes next
+        w = np.array((z, 1.0 / z))
+    _guard_halves((abs(w), "z"))
+    guards = lambda den0, den1: _guard_halves((abs(den0), "z^2-1"), (abs(den1), "q*z^2-1"))
+    c, qw = _A(p.q, _A_factors(p), w, guards, slopes), p.q * w
+    wn, wm = w[..., :, None], w[..., None, :]
+    diff = wm - wn  # its diagonal is no pair; that of wn * wm - 1.0 passed the z^2-1 guard
+    diff.reshape(diff.shape[:-2] + (-1,))[..., :: z.shape[-1] + 1] = 1.0
+    pairs = lambda _: _guard_halves((abs(diff), "z_n-z_m"), (abs(wn * wm - 1.0), "z_n*z_m-1"))
+    s = 0.5 * (qw + 1.0 / qw)
+    if not slopes:
+        return c, s, pairs
+    (c, c_slope), dwdx = c, 2.0 * w * w / (w * w - 1.0)
+    return c, c_slope * dwdx, s, 0.5 * (p.q - 1.0 / (qw * w)) * dwdx, pairs
 
 
 def build_matrix_M(p: AWParams, zs: ZeroSet) -> SpectralMatrix:
-    """Assemble M from the zeros; its predicted spectrum is mu_1..mu_N.
-
-    Each column of (z_n, 1/z_n) gives one half of M. The point guards run before the pair
-    guards, each over the whole array and naming the first failing point or pair in row-major order.
-    """
+    """Assemble M from the zeros; its predicted spectrum is mu_1..mu_N. The point guards run
+    first, then those of _operator_terms, each naming the first failing point or pair."""
     z = np.asarray(zs.zbar, dtype=complex)
     _guard(
         (abs(z), "z"),
@@ -139,14 +104,7 @@ def build_matrix_M(p: AWParams, zs: ZeroSet) -> SpectralMatrix:
         (abs(p.q * z * z - 1.0), "q*z^2-1"),
         (abs(z * z - p.q), "z^2-q"),
     )
-    rows, cols = _off_diagonal(len(z))
-    _guard((abs(z[rows] - z[cols]), "z_n-z_m"), (abs(z[rows] * z[cols] - 1.0), "z_n*z_m-1"))
-    zw = np.stack([z, _reciprocal(z)], axis=1)
-    G, Gp = eval_G_pair(p, zw)
-    K = _kernel_matrix(p.q, zw)
-    halves = [_matrix_half(p.q, zw[:, j], G[:, j], Gp[:, j], K[:, :, j]) for j in (0, 1)]
-    scale = (p.q - 1.0) / (2.0 * p.q**p.N)
-    entries = scale * (halves[0] + halves[1])
+    entries = operator_matrix(0.5 * (z + 1.0 / z), *_operator_terms(p, z, slopes=True))
     predicted = np.array(spectrum_closed_form(p.q, p.product, p.shift, p.N))
     return SpectralMatrix(entries=entries, predicted=predicted, label="M")
 

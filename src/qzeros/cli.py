@@ -242,7 +242,7 @@ def _cmd_spectrum(args: argparse.Namespace, params, overrides: dict) -> tuple[st
     tols = resolve_tolerances(overrides)
     zs = compute_zero_set(params)
     mat = FAMILIES[args.family].build_matrix(params, zs)
-    computed = christoffel_darboux_eigenvalues(mat.entries, zs)
+    computed = christoffel_darboux_eigenvalues(mat.entries)
     match = match_spectra(computed, mat.predicted)
     ok = match.max_rel_gap <= tols["spectrum_match"]
     if args.output_format == "json":
@@ -302,7 +302,7 @@ def run_verify(
 
     residuals = family.residuals(params, zs)
     report.add(f"{ident}-residuals", float(np.max(residuals)), tols["identity_residual"], [ident])
-    spectrum = christoffel_darboux_eigenvalues(entries, zs)
+    spectrum = christoffel_darboux_eigenvalues(entries)
     report.add(f"{spec}-spectrum", match_spectra(spectrum, predicted).max_rel_gap, match_tol, [spec])
     if params.N == 1 and not sweep:
         delta = complex(entries[0, 0]) - complex(predicted[0])
@@ -350,7 +350,7 @@ def run_verify(
             # this scaling lands outside the admissible parameter set;
             # isospectrality is only claimed within it
             continue
-        swept_spectrum = christoffel_darboux_eigenvalues(m_swept.entries, zs_swept)
+        swept_spectrum = christoffel_darboux_eigenvalues(m_swept.entries)
         gap = match_spectra(swept_spectrum, spectrum).max_rel_gap
         worst = gap if worst is None else max(worst, gap)
     if worst is not None:

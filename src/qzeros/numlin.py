@@ -15,6 +15,12 @@ by (real, imaginary) so repeated runs produce identical sequences.
 
 Both families' identity residuals run at WORKING_DPS digits in
 ``ZeroSet.identity_residuals``; awspec and racahspec supply only the terms.
+
+Both families' flows take one operator form in two shifts (c, s), _operator_velocity,
+
+    v_n = sum_(+/-) c_+/-(t_n) (s_+/-(t_n) - t_n) prod_{l!=n} (s_+/-(t_n) - t_l)/(t_n - t_l),
+
+whose Jacobian at the zeros, M or L, is operator_matrix; awspec and racahspec supply the terms.
 """
 
 from __future__ import annotations
@@ -239,17 +245,65 @@ def eigenvalues(mat: np.ndarray) -> np.ndarray:
         raise NoConvergence(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
-def christoffel_darboux_eigenvalues(entries: np.ndarray, zs: ZeroSet) -> np.ndarray:
-    """Eigenvalues of A = M or L built from zs, solved as S^-1 A S, S_n = sqrt(P_{N-1}(t_n) /
-    P_N'(t_n)) at the zeros: complex symmetric by Christoffel-Darboux (Szego, Orthogonal
-    Polynomials, 3.2), so far better conditioned. A as given where S is 0 or not finite."""
-    t, rec = (zs.zbar if zs.xbar is None else zs.xbar), recurrence_coefficients(zs.params)
-    slope = t[:, None] - t[None, :]  # P_N'(t_n) = prod_{m!=n} (t_n - t_m), P_N being monic
-    np.fill_diagonal(slope, 1.0)
+def christoffel_darboux_eigenvalues(entries: np.ndarray) -> np.ndarray:
+    """Eigenvalues of A = M or L as those of S^-1 A S, complex symmetric for the diagonal S_n^2
+    = P_{N-1}(t_n) / P_N'(t_n) (Christoffel-Darboux; Szego, Orthogonal Polynomials, 3.2), so far
+    better conditioned. In double that formula loses every digit at zeros in a q-string, so S is
+    read off A: S_m^2 = S_n^2 A_mn / A_nm along a maximum spanning tree of |A_nm A_mn| (Prim's),
+    from S_0 = 1. A as given where S is 0 or not finite."""
+    n = len(entries)
     with np.errstate(all="ignore"):  # a vanishing or overflowing S shows in the check below
-        s = np.sqrt(Recurrence(rec.b[:-1], rec.c[:-1]).value(t) / slope.prod(axis=1))
+        weight = np.abs(entries * entries.T)
+        s2, best, parent = np.ones(n, dtype=complex), weight[0].copy(), np.zeros(n, dtype=int)
+        inside = np.arange(n) == 0
+        for _ in range(n - 1):
+            m = int(np.argmax(np.where(inside, -1.0, best)))
+            if best[m] > 0:  # else no pair couples m to the tree, and S_m = 1 is as good
+                s2[m] = s2[parent[m]] * entries[m, parent[m]] / entries[parent[m], m]
+            inside[m] = True
+            closer = ~inside & (weight[m] > best)
+            best[closer], parent[closer] = weight[m, closer], m
+        s = np.sqrt(s2)
         scaled = entries * s / s[:, None]
     return eigenvalues(scaled if np.all(np.isfinite(scaled.view(float))) else entries)
+
+
+def _operator_velocity(t: np.ndarray, c: np.ndarray, s: np.ndarray, pair_guards) -> np.ndarray:
+    """The operator form at t (..., N), c and s stacked as (2, ..., N) by shift.
+    pair_guards(d) sees d = t_n - t_m before any division; row products run as per-row calls."""
+    step = t.shape[-1] + 1  # of the diagonal, in a flat view of each fresh (N, N) block
+    d = t[..., :, None] - t[..., None, :]
+    d.reshape(d.shape[:-2] + (-1,))[..., ::step] = 1.0
+    pair_guards(d)
+    ratios = s[..., :, None] - t[..., None, :]
+    ratios.reshape(ratios.shape[:-2] + (-1,))[..., ::step] = 1.0
+    ratios /= d
+    return np.add(*(c * (s - t) * ratios.prod(axis=-1)))  # the two shifts' terms
+
+
+def operator_matrix(t, c, cp, s, sp, pair_guards) -> np.ndarray:
+    """The Jacobian dv_n/dt_m of the operator form at t (N,), c, c' = dc/dt, s and s' = ds/dt
+    stacked as (2, N) by shift; pair_guards(d) as in _operator_velocity. With r_nl = (s_n -
+    t_l)/(t_n - t_l), r_nn = s_n - t_n, Lam_nm = prod_{l!=m} r_nl (prefix times suffix products)
+    and D_nm = 1/(t_n - t_m), D_nn = 0: J_nm = c_n (s_n - t_n) Lam_nm D_nm^2 and J_nn = c'_n
+    prod_l r_nl + c_n [s'_n (sum_m Lam_nm D_nm + Lam_nn) - Lam_nn - prod_l r_nl sum_m D_nm].
+    Nothing divides by s_n - t_m."""
+    n = len(t)
+    d = t[:, None] - t[None, :]
+    np.fill_diagonal(d, 1.0)
+    pair_guards(d)
+    inv = 1.0 / d
+    np.fill_diagonal(inv, 0.0)
+    r = (s[:, :, None] - t) * inv
+    r[:, range(n), range(n)] = s - t
+    lam = np.ones_like(r)
+    lam[..., 1:] = np.cumprod(r[..., :-1], axis=-1)
+    lam[..., :-1] *= np.cumprod(r[..., :0:-1], axis=-1)[..., ::-1]
+    full, lam_nn = lam[..., 0] * r[..., 0], lam[:, range(n), range(n)]
+    entries = np.sum((c * (s - t))[..., None] * lam * inv * inv, axis=0)
+    diag = cp * full + c * (sp * (np.sum(lam * inv, axis=-1) + lam_nn) - lam_nn - full * inv.sum(1))
+    entries[range(n), range(n)] = diag.sum(axis=0)
+    return entries
 
 
 def match_spectra(

@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DegenerateDenominator, NoConvergence, ZeroArgument
-from .qkernel import ComplexScalar, qpochhammer
+from .qkernel import ComplexScalar
 
 
 #: Largest admitted degree: at N = 500 one qz verify takes 25 s and 197 MB (README).
@@ -47,8 +47,7 @@ def check_base(q: complex, n: int) -> None:
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     with _double_range(q, n):
-        if qpochhammer(q**-n, q, n) == 0:
-            raise DegenerateDenominator("(q^-N;q)_N = 0: q is a low-order root of unity")
+        _check_factors("q^-N", q**-n, q, n, "q is a low-order root of unity")
     if n > MAX_DEGREE:
         raise ValueError(f"degree N = {n} exceeds the maximum degree {MAX_DEGREE}")
 
@@ -61,25 +60,22 @@ def _double_range(q: complex, n: int):
         raise ValueError(f"q^(+-N) is beyond the double range at q = {q}, N = {n}") from None
 
 
-def _check_poch_column(label: str, c: complex, q: complex, upto: int) -> None:
-    # (c;q)_m must be nonzero for every m <= upto; equivalently no single
-    # factor 1 - c q^k vanishes for k < upto.
+def _check_factors(label: str, c, q, upto: int, reason: str = "a series denominator vanishes"):
+    """Raise DegenerateDenominator if a factor 1 - c q^k of (c;q)_upto is exactly 0. Each
+    factor is tested, not their product, which underflows to 0 near q = 1 with no factor 0."""
     cqk = complex(c)
     for k in range(upto):
         if 1.0 - cqk == 0:
-            raise DegenerateDenominator(f"({label};q)_m vanishes at factor k={k}")
+            raise DegenerateDenominator(f"({label};q)_N vanishes at factor k={k}: {reason}")
         cqk *= q
 
 
 def _check_degree(p: "AWParams | RacahParams", product: str) -> None:
     # Degree is exactly N only if the m = N coefficient survives, and the powers
     # of q that it needs must be representable.
-    q, n = p.q, p.N
-    with _double_range(q, n):
-        if qpochhammer(p.product * q ** (n + p.shift), q, n) == 0:
-            raise DegenerateDenominator(
-                f"({product} q^(N{p.shift:+d});q)_N = 0: leading coefficient vanishes"
-            )
+    with _double_range(p.q, p.N):
+        c = p.product * p.q ** (p.N + p.shift)
+    _check_factors(f"{product} q^(N{p.shift:+d})", c, p.q, p.N, "leading coefficient vanishes")
 
 
 @dataclass(frozen=True)
@@ -107,9 +103,9 @@ class AWParams:
         if self.a == 0:
             raise ValueError("parameter a must be nonzero (the sum divides by a^N)")
         a, b, c, d, q = self.a, self.b, self.c, self.d, self.q
-        _check_poch_column("ab", a * b, q, self.N)
-        _check_poch_column("ac", a * c, q, self.N)
-        _check_poch_column("ad", a * d, q, self.N)
+        _check_factors("ab", a * b, q, self.N)
+        _check_factors("ac", a * c, q, self.N)
+        _check_factors("ad", a * d, q, self.N)
         _check_degree(self, "abcd")
 
     @property
@@ -144,9 +140,9 @@ class RacahParams:
     def __post_init__(self):
         check_base(self.q, self.N)
         al, be, ga, de, q = self.alpha, self.beta, self.gamma, self.delta, self.q
-        _check_poch_column("alpha*q", al * q, q, self.N)
-        _check_poch_column("beta*delta*q", be * de * q, q, self.N)
-        _check_poch_column("gamma*q", ga * q, q, self.N)
+        _check_factors("alpha*q", al * q, q, self.N)
+        _check_factors("beta*delta*q", be * de * q, q, self.N)
+        _check_factors("gamma*q", ga * q, q, self.N)
         _check_degree(self, "alpha*beta")
 
     @property
@@ -281,6 +277,15 @@ def _linear_products(offsets, slopes, z):
     factors = np.multiply.outer(slopes, z)
     factors += offsets.reshape(offsets.shape + (1,) * np.ndim(z))
     return factors, math.prod(factors)
+
+
+def _product_slope(factors, slopes):
+    """d/dz of the product of linear factors, each with its dz-slope (product rule): a column
+    of _linear_products' factors and slopes."""
+    value, slope = factors[0], slopes[0]
+    for f, c1 in zip(factors[1:], slopes[1:]):
+        value, slope = value * f, slope * f + value * c1
+    return slope
 
 
 @dataclass(frozen=True)

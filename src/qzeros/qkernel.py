@@ -3,8 +3,8 @@
 (c;q)_n is accumulated iteratively, never through logarithms, so an exactly
 vanishing factor yields an exact zero, and powers of q are grown by
 repeated multiplication instead of exponentials to keep complex-branch
-behavior trivial. Only the parameter checks of ``polyform`` call it (the
-determinant check uses the closed-form eigenvalues instead). The q-series
+behavior trivial. The parameter checks of ``polyform`` test each factor
+instead: near q = 1 the product underflows to 0 with no factor 0. The q-series
 sums, the modified q-Pochhammer symbol, the terminating 4phi3 and the
 q^(-N^2) determinant product live in ``tests/qseries_oracle.py``.
 """

@@ -11,8 +11,10 @@ With S = sqrt(z^2 - 4*gamma*delta*q) (either branch, used consistently),
 
 (a,b,g,d standing for alpha, beta, gamma, delta). Flipping the branch of S
 swaps (z^(+), B) with (z^(-), D), which is why every derived quantity is
-branch independent. The N x N matrix L built from the zeros z_1..z_N has
-the closed-form spectrum
+branch independent. The flow and L take numlin's operator form in t = z with
+(c, s) = (B, z^(+)), (D, z^(-)); L, its Jacobian at the N zeros, takes the slopes
+B', D' and C^(+/-) = dz^(+/-)/dz. Only the point guards and z_n - z_m are genuine.
+L has the closed-form spectrum
 
     lambda_n = q^(-N) (1 - q^n) (1 - alpha*beta q^(2N-n+1)),   n = 1..N
 
@@ -26,13 +28,20 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import GUARD_EPS, BranchDegenerate, clear, first_failure, guard as _guard
-from .numlin import SpectralMatrix, ZeroSet
-from .polyform import ComplexScalar, DecimalComplex, RacahParams, _linear_products, _sqrt
+from .numlin import SpectralMatrix, ZeroSet, operator_matrix
+from .polyform import (
+    ComplexScalar,
+    DecimalComplex,
+    RacahParams,
+    _linear_products,
+    _product_slope,
+    _sqrt,
+)
 from .report import spectrum_closed_form
 
 
@@ -49,14 +58,6 @@ class _PointStructure:
     Dp: Optional[ComplexScalar]
     Cplus: Optional[ComplexScalar]
     Cminus: Optional[ComplexScalar]
-
-
-def _product_slope(factors: list, slopes: Sequence[ComplexScalar]):
-    """d/dZ of the product of the linear factors, each with its dZ-slope (product rule)."""
-    value, slope = factors[0], slopes[0]
-    for f, c1 in zip(factors[1:], slopes[1:]):
-        value, slope = value * f, slope * f + value * c1
-    return slope
 
 
 def _structure(q, al, be, ga, de) -> Callable:
@@ -143,50 +144,18 @@ def _structure_of(p: RacahParams) -> Callable:
     return _structure(p.q, p.alpha, p.beta, p.gamma, p.delta)
 
 
-def _pair_differences(z: np.ndarray, z_plus: np.ndarray, z_minus: np.ndarray):
-    """L's pair arrays z_n - z_m and z_n^(+/-) - z_m, ones on their diagonals; the row products
-    of d_plus/d and d_minus/d are prod_{l!=n} (z_n^(+/-) - z_l)/(z_n - z_l)."""
-    pairs = [w[:, None] - z[None, :] for w in (z, z_plus, z_minus)]
-    for pair in pairs:
-        np.fill_diagonal(pair, 1.0)
-    return pairs
+def _pair_guard(d) -> None:
+    """The pair guard of the flow and of L: z_n - z_m, the first failing pair in row-major order."""
+    _guard((abs(d), "z_n-z_m"))
 
 
 def build_matrix_L(p: RacahParams, zs: ZeroSet, branch: int = +1) -> SpectralMatrix:
-    """Assemble L from the zeros; its predicted spectrum is lambda_1..lambda_N.
-
-    The point guards of point_structure run before the pair guards, each over the whole
-    array and naming the first failing point or pair in row-major order. The diagonal
-    holds the row sums of the pair couplings W^(+/-)(z_n, z_m) =
-    [C^(+/-)(z_n)(z_n - z_m) - z_n^(+/-) + z_m] / [(z_n - z_m)(z_n^(+/-) - z_m)].
-    The leave-two-out product of entry (n, m) is the leave-one-out product
-    of row n divided by its factor (z_n^(+/-) - z_m)/(z_n - z_m), which the
-    z_n^(+/-)-z_m guard keeps away from zero.
-    """
+    """Assemble L from the zeros; its predicted spectrum is lambda_1..lambda_N. The point
+    guards of point_structure run first, then _pair_guard, each naming the first failing one."""
     z = np.asarray(zs.zbar, dtype=complex)
     pt = point_structure(p, z, branch)
-    d, d_plus, d_minus = _pair_differences(z, pt.z_plus, pt.z_minus)
-    _guard((abs(d), "z_n-z_m"), (abs(d_plus), "z_n^(+)-z_m"), (abs(d_minus), "z_n^(-)-z_m"))
-    w_plus = (pt.Cplus[:, None] * d - pt.z_plus[:, None] + z[None, :]) / (d * d_plus)
-    w_minus = (pt.Cminus[:, None] * d - pt.z_minus[:, None] + z[None, :]) / (d * d_minus)
-    np.fill_diagonal(w_plus, 0.0)
-    np.fill_diagonal(w_minus, 0.0)
-    ratio_plus = np.prod(d_plus / d, axis=1)
-    ratio_minus = np.prod(d_minus / d, axis=1)
-    dz_plus = pt.z_plus - z
-    dz_minus = pt.z_minus - z
-    prod_plus = ratio_plus[:, None] * d / d_plus  # the leave-two-out products
-    prod_minus = ratio_minus[:, None] * d / d_minus
-    entries = (
-        pt.Bval[:, None] * (dz_plus[:, None] / d) ** 2 * prod_plus
-        + pt.Dval[:, None] * (dz_minus[:, None] / d) ** 2 * prod_minus
-    )
-    diag = (
-        pt.Bp * dz_plus + pt.Bval * (pt.Cplus - 1.0 + dz_plus * w_plus.sum(axis=1))
-    ) * ratio_plus + (
-        pt.Dp * dz_minus + pt.Dval * (pt.Cminus - 1.0 + dz_minus * w_minus.sum(axis=1))
-    ) * ratio_minus
-    np.fill_diagonal(entries, diag)
+    terms = ((pt.Bval, pt.Dval), (pt.Bp, pt.Dp), (pt.z_plus, pt.z_minus), (pt.Cplus, pt.Cminus))
+    entries = operator_matrix(z, *map(np.array, terms), _pair_guard)
     predicted = np.array(spectrum_closed_form(p.q, p.product, p.shift, p.N))
     return SpectralMatrix(entries=entries, predicted=predicted, label="L")
 

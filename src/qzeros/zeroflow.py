@@ -1,18 +1,14 @@
 """First-order flows whose fixed points are the polynomial zeros.
 
-Both flows have one operator form, which _operator_velocity evaluates:
-
-    dt_n/dt = sum_(+/-) c_+/-(t_n) (s_+/-(t_n) - t_n) prod_{l!=n} (s_+/-(t_n) - t_l)/(t_n - t_l).
-
-Askey-Wilson runs in t = x (z = x + sqrt(x^2 - 1)) with c = A(z), A(1/z), s = x(qz), x(z/q):
-as (x(q z_n) - x_m)/(x_n - x_m) = K(z_n, z_m)/q, that is the paper's (q-1)/(2 q^N)
-[G(z_n) prod_{l!=n} K(z_n, z_l) + G(1/z_n) prod_{l!=n} K(1/z_n, 1/z_l)]. q-Racah runs in
-t = z with c = B, D and s = z^(+), z^(-). A validated zero set is an equilibrium, where the
-Jacobian is M or L entrywise (fd_jacobian checks it). A state is the array of N positions;
-a velocity maps states stacked as (..., N) row by row, each row's bits those of a call on
-that row alone, with no Python loop over points, pairs or states, and a guard names the
-first failing point, else pair, in row-major order. integrate_flow runs RK4 with step
-doubling and raises SingularTrajectory, the partial trajectory attached, if a guard trips.
+Both flows take numlin's operator form (numlin._operator_velocity): Askey-Wilson in
+t = x (z = x + sqrt(x^2 - 1)) with c = A(z), A(1/z), s = x(qz), x(z/q)
+(awspec._operator_terms), q-Racah in t = z with c = B, D and s = z^(+), z^(-). A validated
+zero set is an equilibrium, where the Jacobian is M or L (fd_jacobian checks it). A state
+is the array of N positions; a velocity maps states stacked as (..., N) row by row, each
+row's bits those of a call on that row alone, with no Python loop over points, pairs or
+states, and a guard names the first failing point, else pair, in row-major order.
+integrate_flow runs RK4 with step doubling and raises SingularTrajectory, the partial
+trajectory attached, if a guard trips.
 
 This is the top library layer, so the ``Family`` record, which reaches
 into every layer below it, is defined here: ``FAMILIES`` maps each params
@@ -33,9 +29,8 @@ from .errors import (
     QZerosError,
     SingularConfiguration,
     SingularTrajectory,
-    clear,
-    guard,
 )
+from .numlin import _operator_velocity
 from .polyform import AWParams, RacahParams, x_to_z
 from . import awspec, racahspec
 from .sweeps import draw_aw_params, draw_racah_params
@@ -58,36 +53,10 @@ LINEARIZATION_TOL = 1e-3
 VelocityFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _operator_velocity(t: np.ndarray, c: np.ndarray, s: np.ndarray, pair_guards) -> np.ndarray:
-    """The module docstring's operator form at t (..., N), c and s stacked as (2, ..., N).
-    pair_guards(d) sees d = t_n - t_m before any division; row products run as per-row calls."""
-    step = t.shape[-1] + 1  # of the diagonal, in a flat view of each fresh (N, N) block
-    d = t[..., :, None] - t[..., None, :]
-    d.reshape(d.shape[:-2] + (-1,))[..., ::step] = 1.0
-    pair_guards(d)
-    ratios = s[..., :, None] - t[..., None, :]
-    ratios.reshape(ratios.shape[:-2] + (-1,))[..., ::step] = 1.0
-    ratios /= d
-    return np.add(*(c * (s - t) * ratios.prod(axis=-1)))  # the two shifts' terms
-
-
-def _guard_halves(*checks) -> None:
-    """guard on magnitudes stacked by half as (2, ...), named as (z_n, 1/z_n) side by side."""
-    if not clear(*(m for m, _ in checks)):
-        guard(*((np.moveaxis(m, 0, -1), name) for m, name in checks))
-
-
 def aw_velocity(p: AWParams, x: np.ndarray) -> np.ndarray:
-    """Askey-Wilson flow velocities at the x-positions (..., N), row by row, guarded as A, K."""
+    """Askey-Wilson flow velocities at the x-positions (..., N), row by row: t = x, c = A(w)."""
     x = np.asarray(x, dtype=complex)
-    z = x_to_z(x)
-    w = np.array((z, awspec._reciprocal(z)))  # the halves z and 1/z, stacked as (2, ..., N)
-    _guard_halves((abs(w), "z"))
-    guards = lambda den0, den1: _guard_halves((abs(den0), "z^2-1"), (abs(den1), "q*z^2-1"))
-    c, qw = awspec._A(p.q, awspec._A_factors(p), w, guards), p.q * w
-    wn, wm = (w[..., i] for i in awspec._off_diagonal(x.shape[-1]))  # K's pairs, row-major
-    pairs = lambda _: _guard_halves((abs(wm - wn), "z_n-z_m"), (abs(wn * wm - 1.0), "z_n*z_m-1"))
-    return _operator_velocity(x, c, 0.5 * (qw + 1.0 / qw), pairs)
+    return _operator_velocity(x, *awspec._operator_terms(p, x_to_z(x)))
 
 
 def racah_velocity(p: RacahParams, z: np.ndarray, branch: int = +1) -> np.ndarray:
@@ -95,7 +64,7 @@ def racah_velocity(p: RacahParams, z: np.ndarray, branch: int = +1) -> np.ndarra
     z = np.asarray(z, dtype=complex)
     pt = racahspec.point_structure(p, z, branch, derivatives=False)
     c, s = np.array((pt.Bval, pt.Dval)), np.array((pt.z_plus, pt.z_minus))
-    return _operator_velocity(z, c, s, lambda d: guard((abs(d), "z_n-z_m")))
+    return _operator_velocity(z, c, s, racahspec._pair_guard)
 
 
 @dataclass(frozen=True)

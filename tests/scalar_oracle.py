@@ -1,19 +1,22 @@
-"""Test oracle: the structure layer and the flow velocities as scalar loops.
+"""Test oracle: the structure layer, the flow velocities and M and L as scalar loops.
 
 These are the per-pair Python loops the library replaced with numpy
 broadcasting over pair arrays: one structure function, one guard and one
 kernel value per zero or per pair, products accumulated left to right.
-They call the library's elementwise functions (eval_G_pair, eval_K,
-point_structure, x_to_z) on one scalar at a time, so they share the
-formulas but none of the pair arithmetic, the guard reductions or the
-leave-two-out shortcut of the vectorized code.
+They keep the paper's formulas: M as two z-halves of G(z) = A(z)(qz - 1/z)
+and the pair kernel K (eval_G_pair, eval_K, here), L with the leave-two-out
+products, each guarding the differences it divides by, the removable
+z_m-q*z_n, q*z_n*z_m-1 and z_n^(+/-)-z_m among them. They call the library's
+elementwise point_structure and x_to_z on one scalar at a time, so they share
+those formulas but none of the operator form, the pair arithmetic or the guard
+reductions of the vectorized code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qzeros import awspec, racahspec
+from qzeros import racahspec
 from qzeros.errors import GUARD_EPS, SingularConfiguration
 from qzeros.numlin import ZeroSet
 from qzeros.polyform import AWParams, RacahParams, x_to_z
@@ -27,6 +30,35 @@ def guard(magnitude: float, name: str) -> None:
 # --- Askey-Wilson ------------------------------------------------------------
 
 
+def eval_G_pair(p: AWParams, z: complex) -> tuple[complex, complex]:
+    """(G(z), G'(z)) with G = A(z)(qz - 1/z), differentiated exactly.
+
+    The numerator (qz - 1/z) prod (1 - p z) and denominator
+    (1-z^2)(1-q z^2) are carried as (value, derivative) pairs so the
+    quotient rule never divides by a numerator factor that may vanish.
+    """
+    z2 = z * z
+    guard(abs(z), "z")
+    guard(abs(1.0 - z2), "z^2-1")
+    guard(abs(1.0 - p.q * z2), "q*z^2-1")
+    uv, ud = p.q * z - 1.0 / z, p.q + 1.0 / z2
+    for c in (p.a, p.b, p.c, p.d):
+        f, fp = 1.0 - c * z, -c
+        uv, ud = uv * f, ud * f + uv * fp
+    dv = (1.0 - z2) * (1.0 - p.q * z2)
+    dd = -2.0 * z * (1.0 - p.q * z2) - 2.0 * p.q * z * (1.0 - z2)
+    return uv / dv, (ud * dv - uv * dd) / (dv * dv)
+
+
+def eval_K(q: complex, zn: complex, zm: complex) -> complex:
+    """Pair kernel K(z_n, z_m); collapses to 1 at q = 1."""
+    d1 = zm - zn
+    d2 = zn * zm - 1.0
+    guard(abs(d1), "z_n-z_m")
+    guard(abs(d2), "z_n*z_m-1")
+    return (zm - q * zn) * (q * zn * zm - 1.0) / (d1 * d2)
+
+
 def aw_velocity(p: AWParams, positions, branch_flips=None) -> np.ndarray:
     xs = np.asarray(positions, dtype=complex)
     n = len(xs)
@@ -38,15 +70,15 @@ def aw_velocity(p: AWParams, positions, branch_flips=None) -> np.ndarray:
     out = np.empty(n, dtype=complex)
     scale = (p.q - 1.0) / (2.0 * p.q**p.N)
     for i in range(n):
-        g_plus = awspec.eval_G_pair(p, z[i])[0]
-        g_minus = awspec.eval_G_pair(p, 1.0 / z[i])[0]
+        g_plus = eval_G_pair(p, z[i])[0]
+        g_minus = eval_G_pair(p, 1.0 / z[i])[0]
         prod_plus = 1.0 + 0.0j
         prod_minus = 1.0 + 0.0j
         for l in range(n):
             if l == i:
                 continue
-            prod_plus *= awspec.eval_K(p.q, z[i], z[l])
-            prod_minus *= awspec.eval_K(p.q, 1.0 / z[i], 1.0 / z[l])
+            prod_plus *= eval_K(p.q, z[i], z[l])
+            prod_minus *= eval_K(p.q, 1.0 / z[i], 1.0 / z[l])
         out[i] = scale * (g_plus * prod_plus + g_minus * prod_minus)
     return out
 
@@ -61,12 +93,12 @@ def aw_structure(p: AWParams, z: np.ndarray):
         guard(abs(z[i] * z[i] - p.q), "z^2-q")
     halves = []
     for w in (z, np.array([1.0 / zi for zi in z])):
-        g = [awspec.eval_G_pair(p, wi) for wi in w]
+        g = [eval_G_pair(p, wi) for wi in w]
         k = np.ones((n, n), dtype=complex)
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    k[i, j] = awspec.eval_K(p.q, w[i], w[j])
+                    k[i, j] = eval_K(p.q, w[i], w[j])
         halves.append((w, np.array([v[0] for v in g]), np.array([v[1] for v in g]), k))
     return halves
 

@@ -38,7 +38,7 @@ RACAH += ["-q", "0.5"]
 
 
 def _racah_seed0_q06_n24() -> list:
-    # the seed-0 draw that trips the z_n^(-)-z_m guard (exit 3, no stdout)
+    # the seed-0 draw where z_n^(-) meets another zero to 2e-13, a removable singularity of L
     p = draw_racah_params(SplitMix64(0), 0.6, 24)
     argv = ["verify", "--family", "racah"]
     for flag, value in (("--alpha", p.alpha), ("--beta", p.beta), ("--gamma", p.gamma),

@@ -133,23 +133,26 @@ class TestChristoffelDarbouxBasis:
         p = draw_racah_params(SplitMix64(4), 0.5, 6)
         zs = compute_zero_set(p)
         entries = racahspec.build_matrix_L(p, zs).entries
-        match = match_spectra(christoffel_darboux_eigenvalues(entries, zs), eigenvalues(entries))
+        match = match_spectra(christoffel_darboux_eigenvalues(entries), eigenvalues(entries))
         assert match.max_rel_gap <= 1e-12
 
     @pytest.mark.parametrize("bad", ["zero", "nan"])
     def test_degenerate_basis_solves_the_raw_matrix(self, bad):
-        # N = 2: P_1(t) = t - b_0 vanishes exactly at t = b_0, so S_0 = 0; a NaN position
-        # gives a NaN S_0
-        p = draw_aw_params(SplitMix64(0), 0.5, 2)
-        zs = compute_zero_set(p)
-        entries = awspec.build_matrix_M(p, zs).entries
-        t = zs.xbar.copy()
-        t[0] = recurrence_coefficients(p).b[0] if bad == "zero" else np.nan
-        hand_built = dataclasses.replace(zs, xbar=t)
-        with np.errstate(all="ignore"):
-            assert not np.all(np.isfinite(1 / cd_basis(p, hand_built)))
-        vals = christoffel_darboux_eigenvalues(entries, hand_built)
-        assert np.array_equal(vals, eigenvalues(entries))
+        # a one-sided zero couples no pair, so S = 1; a ratio that underflows gives S_1 = 0,
+        # and a NaN in the scaled matrix
+        entries = np.array([[1.0, 2.0], [0.0, 3.0]] if bad == "zero" else [[1, 1e300], [1e-300, 1]])
+        vals = christoffel_darboux_eigenvalues(entries.astype(complex))
+        assert np.array_equal(vals, eigenvalues(entries.astype(complex)))
+
+    def test_symmetrizes_a_q_string_swept_cell(self):
+        # the t = 0.5 re-solve of the Askey-Wilson seed-7 q = 0.6 N = 24 cell: its zeros hold
+        # a q-string, where P_{N-1}(t_n) in double loses every digit; read off M, S still works
+        fam = FAMILIES["aw"]
+        p = fam.isospectral(fam.draw(SplitMix64(7), 0.6 + 0j, 24), 0.5)
+        m = fam.build_matrix(p, compute_zero_set(p, polish=False))
+        gap = lambda values: match_spectra(values, m.predicted).max_rel_gap
+        assert gap(eigenvalues(m.entries)) > 1e-6
+        assert gap(christoffel_darboux_eigenvalues(m.entries)) <= 1e-9
 
 
 class TestMatchSpectra:

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from qseries_oracle import (
     qpochhammer_multi,
     racah_eval,
 )
+from qzeros import polyform
 from qzeros.errors import DegenerateDenominator, ZeroArgument
 from qzeros.numlin import find_polynomial_zeros
 from qzeros.polyform import AWParams, RacahParams, recurrence_coefficients, x_to_z, z_to_x
@@ -34,6 +36,17 @@ class TestParams:
         # a*b = 1/q makes (ab;q)_2 contain the factor 1 - (1/q) q = 0
         with pytest.raises(DegenerateDenominator):
             AWParams(a=2.0, b=1.0, c=4, d=5, q=0.5, N=2)
+
+    def test_base_near_one_admitted(self):
+        # (q^-N;q)_N underflows to 0 at q = 1 - 1e-8, N = 60, but none of its factors is 0
+        polyform.check_base(1 - 1e-8, 60)
+        # nor of (P q^(N+1);q)_N at P = 1: each factor is about 1e-6
+        polyform._check_degree(SimpleNamespace(q=1 - 1e-8, N=60, product=1.0, shift=1), "P")
+
+    def test_root_of_unity_rejected(self):
+        # q = -1, N = 2: (q^-2;q)_2 = (1 - 1)(1 + 1) has an exactly vanishing factor
+        with pytest.raises(DegenerateDenominator):
+            polyform.check_base(-1.0, 2)
 
     def test_racah_gamma_q_column_rejected(self):
         # gamma*q = 2 at q = 1/2: (gamma*q;q)_2 hits 1 - 2*(1/2) = 0

@@ -13,7 +13,7 @@ from qseries_oracle import (
     shift_targets,
 )
 from qzeros import awspec, racahspec, zeroflow
-from qzeros.errors import BranchDegenerate, SingularConfiguration
+from qzeros.errors import BranchDegenerate
 from qzeros.cli import run_verify
 from qzeros.numlin import compute_zero_set, eigenvalues, match_spectra
 from qzeros.polyform import RacahParams
@@ -236,13 +236,15 @@ class TestRacahAsAskeyWilson:
         v_aw = zeroflow.aw_velocity(aw, x)
         assert np.max(np.abs(v_racah - 2 * aw.a * v_aw)) <= 1e-11 * np.max(np.abs(v_racah))
 
-    def test_guards_trip_together(self):
-        # the seed-0 q = 0.6 N = 24 cell: q-Racah's z_n^(-)-z_m is Askey-Wilson's z_m-q*z_n
+    def test_shift_collision_builds_on_both_sides(self):
+        # the seed-0 q = 0.6 N = 24 cell, where q-Racah's z_n^(-) meets another zero, as
+        # Askey-Wilson's q z_n does: a removable singularity, so both build and L = P M P^T
         p = draw_racah_params(SplitMix64(0), 0.6, 24)
         aw = racah_as_aw(p)
-        with pytest.raises(SingularConfiguration) as racah_info:
-            racahspec.build_matrix_L(p, compute_zero_set(p))
-        with pytest.raises(SingularConfiguration) as aw_info:
-            awspec.build_matrix_M(aw, compute_zero_set(aw))
-        assert racah_info.value.guard == "z_n^(-)-z_m"
-        assert aw_info.value.guard == "z_m-q*z_n"
+        zs, zs_aw = compute_zero_set(p), compute_zero_set(aw)
+        mapped = 2 * aw.a * zs_aw.xbar
+        perm = np.array([int(np.argmin(np.abs(zs.zbar - v))) for v in mapped])
+        assert sorted(perm) == list(range(24))
+        L = racahspec.build_matrix_L(p, zs).entries
+        M = awspec.build_matrix_M(aw, zs_aw).entries
+        assert np.max(np.abs(L[np.ix_(perm, perm)] - M)) <= 1e-13 * np.max(np.abs(L))

@@ -360,14 +360,14 @@ class TestExitCodeTable:
         assert code == expected
 
 
-def _racah_seed0_q06_n24_argv():
-    # the seed-0 q-Racah draw at q = 0.6, N = 24 trips the z_n^(-)-z_m guard: exit 3
-    p = draw_racah_params(SplitMix64(0), 0.6, 24)
-    params = []
-    for flag, value in (("--alpha", p.alpha), ("--beta", p.beta), ("--gamma", p.gamma),
-                        ("--delta", p.delta)):
-        params += [flag, repr(complex(value))]
-    return ["matrix", "--family", "racah", *params, "-q", "0.6", "-N", "24"]
+def _aw_zero_on_point_guard_argv():
+    # d solves A_0 = a + 1/a - 2 x_1 for the N = 1 zero x_1 = (q^(1/2) + q^(-1/2))/2, whose
+    # image z = q^(-1/2) fails the genuine point guard q*z^2-1: exit 3
+    a, b, c, q = 2.0, 3.0, 4.0, 0.5
+    a0 = a + 1 / a - (q**0.5 + q**-0.5)
+    d = (a0 * a - (1 - a * b) * (1 - a * c)) / (a0 * a * a * b * c - (1 - a * b) * (1 - a * c) * a)
+    return ["matrix", "--family", "aw", "-a", "2", "-b", "3", "-c", "4", "-d", repr(d),
+            "-q", "0.5", "-N", "1"]
 
 
 class TestParserReuse:
@@ -376,7 +376,7 @@ class TestParserReuse:
         (["zeros", *AW_ARGS], 0),
         (["spectrum", *RACAH_ARGS, "--format", "csv"], 0),
         (["spectrum", *AW_ARGS, "--tol", "spectrum_match=1e-300"], 2),
-        (_racah_seed0_q06_n24_argv(), 3),
+        (_aw_zero_on_point_guard_argv(), 3),
         (["matrix", "--family", "racah", "-q", "0.5", "-N", "1", "--alpha", "3"], 4),
         (["verify", *AW_ARGS, "--tol", "bogus=1"], 4),
     ]
@@ -401,7 +401,7 @@ class TestParserReuse:
             fresh.append(self.run(argv, capsys))
         assert reused == fresh
         assert [r[0] for r in reused] == [code for _, code in self.SEQUENCE]
-        assert "z_n^(-)-z_m" in reused[3][2]
+        assert "q*z^2-1" in reused[3][2]
 
 
 def test_flow_zeros_matrix_never_import_scipy():
