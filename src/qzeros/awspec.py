@@ -17,8 +17,9 @@ divided by K's numerator (z_m - q z_n)(q z_n z_m - 1): only the point guards and
 which depends on a,b,c,d only through the product abcd
 (report.spectrum_closed_form, shared with q-Racah).
 
-A(z) is written once (_A); prop21_residuals evaluates it at WORKING_DPS
-digits in numlin's ZeroSet.identity_residuals, the loop shared with q-Racah.
+The terms (c, s) and their x-slopes are written once (_terms): the flow and M stack them,
+prop21_residuals takes them at WORKING_DPS digits, for numlin's
+ZeroSet.identity_residuals to form the identity.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .polyform import (
     DecimalComplex,
     _linear_products,
     _product_slope,
-    z_to_x,
 )
 from .report import spectrum_closed_form
 
@@ -74,24 +74,31 @@ def _guard_halves(*checks) -> None:
         _guard(*((np.moveaxis(m, 0, -1), name) for m, name in checks))
 
 
+def _terms(q, factors, w, guards=lambda *_: None, slopes: bool = False) -> tuple:
+    """The operator terms (c, s) = (A(w), x(qw)) of the half w, with ``slopes`` (c, dc/dx, s,
+    ds/dx), dw/dx = 2w^2/(w^2 - 1); arithmetic and guards as _A."""
+    c, qw = _A(q, factors, w, guards, slopes), q * w
+    s = 0.5 * (qw + 1.0 / qw)
+    if not slopes:
+        return c, s
+    (c, c_slope), dwdx = c, 2.0 * w * w / (w * w - 1.0)
+    return c, c_slope * dwdx, s, 0.5 * (q - 1.0 / (qw * w)) * dwdx
+
+
 def _operator_terms(p: AWParams, z: np.ndarray, slopes: bool = False) -> tuple:
-    """(c, s, pair_guards), with ``slopes`` (c, dc/dx, s, ds/dx, pair_guards), of the operator
-    form at z (..., N), stacked by half as (2, ..., N). Each half is guarded as A: z, then z^2-1
-    and q*z^2-1; pair_guards as x_n - x_m, by z_n-z_m and z_n*z_m-1 on both halves."""
+    """_terms on the halves w = z, 1/z of z (..., N), stacked as (2, ..., N), and pair_guards.
+    Each half is guarded as A: z, then z^2-1 and q*z^2-1; pair_guards as x_n - x_m, by
+    z_n-z_m and z_n*z_m-1 on both halves."""
     with np.errstate(divide="ignore", invalid="ignore"):  # the guard on z comes next
         w = np.array((z, 1.0 / z))
     _guard_halves((abs(w), "z"))
     guards = lambda den0, den1: _guard_halves((abs(den0), "z^2-1"), (abs(den1), "q*z^2-1"))
-    c, qw = _A(p.q, _A_factors(p), w, guards, slopes), p.q * w
+    terms = _terms(p.q, _A_factors(p), w, guards, slopes)
     wn, wm = w[..., :, None], w[..., None, :]
     diff = wm - wn  # its diagonal is no pair; that of wn * wm - 1.0 passed the z^2-1 guard
     diff.reshape(diff.shape[:-2] + (-1,))[..., :: z.shape[-1] + 1] = 1.0
     pairs = lambda _: _guard_halves((abs(diff), "z_n-z_m"), (abs(wn * wm - 1.0), "z_n*z_m-1"))
-    s = 0.5 * (qw + 1.0 / qw)
-    if not slopes:
-        return c, s, pairs
-    (c, c_slope), dwdx = c, 2.0 * w * w / (w * w - 1.0)
-    return c, c_slope * dwdx, s, 0.5 * (p.q - 1.0 / (qw * w)) * dwdx, pairs
+    return (*terms, pairs)
 
 
 def build_matrix_M(p: AWParams, zs: ZeroSet) -> SpectralMatrix:
@@ -119,7 +126,7 @@ def prop21_residuals(p: AWParams, zs: ZeroSet) -> np.ndarray:
     The identity sharpens dramatically at small q and larger N (its value
     moves by ~1e8 per unit relative zero displacement at q = 0.3, N = 10),
     to the point that a double-rounded zero cannot satisfy it to 1e-8 at
-    all. A, by eval_A's formula, and p_N, through the zero set's
+    all. The terms, by the flow's _terms, and p_N, through the zero set's
     recurrence, therefore run at WORKING_DPS digits at the high-precision
     zeros (``ZeroSet.identity_residuals``); a zero set whose ``zbar`` was
     perturbed or hand-built is measured at its doubles and reports
@@ -127,12 +134,9 @@ def prop21_residuals(p: AWParams, zs: ZeroSet) -> np.ndarray:
     """
     eval_A(p, np.asarray(zs.zbar, dtype=complex))  # enforce the guards on the stored zeros
 
-    def terms(rec):
+    def shifts():
         q = DecimalComplex.of(p.q)
         factors = [[list(map(DecimalComplex.of, row)) for row in part] for part in _A_factors(p)]
-        return lambda z: (
-            _A(q, factors, z) * rec.value(z_to_x(q * z)),
-            _A(q, factors, 1 / z) * rec.value(z_to_x(z / q)),
-        )
+        return lambda z: [_terms(q, factors, w) for w in (z, 1 / z)]
 
-    return zs.identity_residuals(p, terms)
+    return zs.identity_residuals(shifts)

@@ -13,14 +13,14 @@ does not cancel catastrophically at small q and large N. Each zero is
 certified by its final Newton step; zeros are returned sorted ascending
 by (real, imaginary) so repeated runs produce identical sequences.
 
-Both families' identity residuals run at WORKING_DPS digits in
-``ZeroSet.identity_residuals``; awspec and racahspec supply only the terms.
-
 Both families' flows take one operator form in two shifts (c, s), _operator_velocity,
 
     v_n = sum_(+/-) c_+/-(t_n) (s_+/-(t_n) - t_n) prod_{l!=n} (s_+/-(t_n) - t_l)/(t_n - t_l),
 
-whose Jacobian at the zeros, M or L, is operator_matrix; awspec and racahspec supply the terms.
+whose Jacobian at the zeros, M or L, is operator_matrix, and whose numerators at the zeros,
+sum_(+/-) c_+/-(t_n) P_N(s_+/-(t_n)) = 0, are the zero identities: ZeroSet.identity_residuals
+forms them at WORKING_DPS digits. awspec and racahspec supply each family's terms (c, s),
+written once for all three.
 """
 
 from __future__ import annotations
@@ -91,19 +91,18 @@ class ZeroSet:
     zeros_hp: Optional[list] = None
     recurrence_hp: Optional[Recurrence] = None
 
-    def identity_residuals(self, params: Union[AWParams, RacahParams], terms) -> np.ndarray:
-        """|t1 + t2| / (|t1| + |t2| + _FLOOR) per zero of an identity t1 + t2 = 0, with
-        (t1, t2) = terms(rec)(z). rec evaluates P_N: the carried recurrence if it belongs
-        to params, else a fresh one. Both calls run in rec's arithmetic (WORKING_DPS
-        digits), so terms(rec) forms its constants there, once. z is the high-precision
-        zero while it matches ``zbar[i]`` to 1e-12 relative (of the z images w, 1/w of a
-        zero in x, the one that does), else ``zbar[i]``: perturbed sets at face value.
+    def identity_residuals(self, shifts) -> np.ndarray:
+        """|t1 + t2| / (|t1| + |t2| + _FLOOR) per zero of the identity t1 + t2 = 0, t_j =
+        c_j P_N(s_j) over the shifts (c_j, s_j) of shifts()(z). P_N runs on the carried
+        recurrence, else a fresh one, and everything in its arithmetic (WORKING_DPS digits),
+        so shifts() forms its constants there, once. z is the high-precision zero while it
+        matches ``zbar[i]`` to 1e-12 relative (of the z images w, 1/w of a zero in x, the
+        one that does), else ``zbar[i]``: perturbed sets at face value.
         """
-        same = self.recurrence_hp is not None and self.params == params
-        rec = self.recurrence_hp if same else recurrence_coefficients(params, hp=True)
+        rec = self.recurrence_hp or recurrence_coefficients(self.params, hp=True)
         out = np.empty(len(self.zbar))
         with rec.arithmetic():
-            at = terms(rec)
+            at = shifts()
             for i, target in enumerate(self.zbar):
                 z = None if self.zeros_hp is None else self.zeros_hp[i]
                 if z is not None and self.xbar is not None:
@@ -111,7 +110,7 @@ class ZeroSet:
                     z = min((z, 1 / z), key=lambda v: abs(complex(v) - target))
                 if z is None or not abs(complex(z) - target) <= 1e-12 * max(1.0, abs(target)):
                     z = DecimalComplex.of(target)
-                t1, t2 = at(z)
+                t1, t2 = (c * rec.value(s) for c, s in at(z))
                 out[i] = float(abs(t1 + t2) / (abs(t1) + abs(t2) + _FLOOR))
         return out
 
@@ -354,17 +353,13 @@ def compute_zero_set(params: Union[AWParams, RacahParams], polish: bool = True) 
         residuals = np.array(residuals)
     zeros = np.array([complex(x) for x in polished])
     xbar, zbar = (zeros, x_to_z(zeros)) if params.recurrence_in_x else (None, zeros)
-    if params.N > 1:
-        diffs = np.abs(zbar[:, None] - zbar[None, :])
-        min_sep = float((diffs + np.diag(np.full(params.N, np.inf))).min())
-    else:
-        min_sep = math.inf
+    diffs = np.abs(zbar[:, None] - zbar[None, :])
     return ZeroSet(
         params=params,
         zbar=zbar,
         xbar=xbar,
         residuals=residuals,
-        min_separation=min_sep,
+        min_separation=float((diffs + np.diag(np.full(params.N, np.inf))).min()),
         zeros_hp=polished if polish else None,
         recurrence_hp=rec if polish else None,
     )

@@ -326,10 +326,7 @@ class Recurrence:
         with self.arithmetic():
             if type(t) is DecimalComplex and self.pairs is not None:
                 return DecimalComplex(*pair_value_and_derivative(self.pairs, t.real, t.imag, False))
-            prev, cur = 0, 1
-            for b, c in zip(self.b, self.c):
-                prev, cur = cur, (t - b) * cur - c * prev
-            return cur
+            return self.value_and_derivative(t)[0]
 
     def value_and_derivative(self, t):
         """(P_N(t), P_N'(t)); the derivative follows the differentiated recurrence."""

@@ -20,8 +20,9 @@ L has the closed-form spectrum
 
 (report.spectrum_closed_form, shared with Askey-Wilson).
 
-Z, z^(+/-), B and D are written once (_structure); prop23_residuals evaluates
-them at WORKING_DPS digits in numlin's ZeroSet.identity_residuals.
+Z, z^(+/-), B and D are written once (_structure), and the operator terms once from them
+(_PointStructure.terms): the flow and L stack them, prop23_residuals takes them at
+WORKING_DPS digits, for numlin's ZeroSet.identity_residuals to form the identity.
 """
 
 from __future__ import annotations
@@ -58,6 +59,12 @@ class _PointStructure:
     Dp: Optional[ComplexScalar]
     Cplus: Optional[ComplexScalar]
     Cminus: Optional[ComplexScalar]
+
+    def terms(self) -> tuple:
+        """The operator terms by shift: (c, s) = ((B, D), (z^(+), z^(-))), and where the
+        derivatives were formed (c, c', s, s') with c' = (B', D'), s' = (C^(+), C^(-))."""
+        c, s = (self.Bval, self.Dval), (self.z_plus, self.z_minus)
+        return (c, s) if self.Bp is None else (c, (self.Bp, self.Dp), s, (self.Cplus, self.Cminus))
 
 
 def _structure(q, al, be, ga, de) -> Callable:
@@ -144,18 +151,18 @@ def _structure_of(p: RacahParams) -> Callable:
     return _structure(p.q, p.alpha, p.beta, p.gamma, p.delta)
 
 
-def _pair_guard(d) -> None:
-    """The pair guard of the flow and of L: z_n - z_m, the first failing pair in row-major order."""
-    _guard((abs(d), "z_n-z_m"))
+def _operator_terms(p: RacahParams, z: np.ndarray, branch: int, slopes: bool = False) -> tuple:
+    """_PointStructure.terms at z (..., N), each stacked by shift as (2, ..., N), and
+    pair_guards; the point guards of point_structure run first, pair_guards on z_n - z_m."""
+    pt = point_structure(p, z, branch, derivatives=slopes)
+    return (*map(np.array, pt.terms()), lambda d: _guard((abs(d), "z_n-z_m")))
 
 
 def build_matrix_L(p: RacahParams, zs: ZeroSet, branch: int = +1) -> SpectralMatrix:
-    """Assemble L from the zeros; its predicted spectrum is lambda_1..lambda_N. The point
-    guards of point_structure run first, then _pair_guard, each naming the first failing one."""
+    """Assemble L from the zeros; its predicted spectrum is lambda_1..lambda_N. The guards of
+    _operator_terms run in its order, each naming the first failing point or pair."""
     z = np.asarray(zs.zbar, dtype=complex)
-    pt = point_structure(p, z, branch)
-    terms = ((pt.Bval, pt.Dval), (pt.Bp, pt.Dp), (pt.z_plus, pt.z_minus), (pt.Cplus, pt.Cminus))
-    entries = operator_matrix(z, *map(np.array, terms), _pair_guard)
+    entries = operator_matrix(z, *_operator_terms(p, z, branch, slopes=True))
     predicted = np.array(spectrum_closed_form(p.q, p.product, p.shift, p.N))
     return SpectralMatrix(entries=entries, predicted=predicted, label="L")
 
@@ -173,13 +180,8 @@ def prop23_residuals(p: RacahParams, zs: ZeroSet, branch: int = +1) -> np.ndarra
     """
     point_structure(p, np.asarray(zs.zbar, dtype=complex), branch, derivatives=False)  # guards
 
-    def terms(rec):
+    def shifts():
         at = _structure(*map(DecimalComplex.of, (p.q, p.alpha, p.beta, p.gamma, p.delta)))
+        return lambda z: zip(*at(z, branch, False).terms())
 
-        def t(z):
-            pt = at(z, branch, False)
-            return pt.Bval * rec.value(pt.z_plus), pt.Dval * rec.value(pt.z_minus)
-
-        return t
-
-    return zs.identity_residuals(p, terms)
+    return zs.identity_residuals(shifts)

@@ -1,14 +1,14 @@
 """First-order flows whose fixed points are the polynomial zeros.
 
-Both flows take numlin's operator form (numlin._operator_velocity): Askey-Wilson in
-t = x (z = x + sqrt(x^2 - 1)) with c = A(z), A(1/z), s = x(qz), x(z/q)
-(awspec._operator_terms), q-Racah in t = z with c = B, D and s = z^(+), z^(-). A validated
-zero set is an equilibrium, where the Jacobian is M or L (fd_jacobian checks it). A state
-is the array of N positions; a velocity maps states stacked as (..., N) row by row, each
-row's bits those of a call on that row alone, with no Python loop over points, pairs or
-states, and a guard names the first failing point, else pair, in row-major order.
-integrate_flow runs RK4 with step doubling and raises SingularTrajectory, the partial
-trajectory attached, if a guard trips.
+Both flows take numlin's operator form (numlin._operator_velocity) on their family's
+operator terms (awspec._operator_terms, racahspec._operator_terms): Askey-Wilson in t = x
+(z = x + sqrt(x^2 - 1)) with c = A(z), A(1/z), s = x(qz), x(z/q), q-Racah in t = z with
+c = B, D and s = z^(+), z^(-). A validated zero set is an equilibrium, where the Jacobian
+is M or L (fd_jacobian checks it). A state is the array of N positions; a velocity maps
+states stacked as (..., N) row by row, each row's bits those of a call on that row alone,
+with no Python loop over points, pairs or states, and a guard names the first failing
+point, else pair, in row-major order. integrate_flow runs RK4 with step doubling and
+raises SingularTrajectory, the partial trajectory attached, if a guard trips.
 
 This is the top library layer, so the ``Family`` record, which reaches
 into every layer below it, is defined here: ``FAMILIES`` maps each params
@@ -62,9 +62,7 @@ def aw_velocity(p: AWParams, x: np.ndarray) -> np.ndarray:
 def racah_velocity(p: RacahParams, z: np.ndarray, branch: int = +1) -> np.ndarray:
     """q-Racah flow velocities at the z-positions (..., N), row by row: t = z, c = B, D."""
     z = np.asarray(z, dtype=complex)
-    pt = racahspec.point_structure(p, z, branch, derivatives=False)
-    c, s = np.array((pt.Bval, pt.Dval)), np.array((pt.z_plus, pt.z_minus))
-    return _operator_velocity(z, c, s, racahspec._pair_guard)
+    return _operator_velocity(z, *racahspec._operator_terms(p, z, branch))
 
 
 @dataclass(frozen=True)

@@ -609,3 +609,17 @@ def test_readme_cli_examples_exit_0(capsys):
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
     capsys.readouterr()
+
+
+def test_readme_library_example_runs(capsys):
+    import pathlib
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1].split("\n## ", 1)[0]
+    blocks = [block.split("```", 1)[0] for block in section.split("```python")[1:]]
+    assert len(blocks) == 2  # the second uses the first's p
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["match"].max_rel_gap <= 1e-6
+    assert capsys.readouterr().out.splitlines()[-1] == "True"  # run_verify(p).passed
