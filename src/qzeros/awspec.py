@@ -9,8 +9,9 @@ shifts the halves w = z, 1/z of each zero: c = A(w), s = x(qw). M, its Jacobian 
 zeros (numlin.operator_matrix), takes the x-slopes A'(w) dw/dx and (q - 1/(q w^2))/2 dw/dx,
 dw/dx = 2w^2/(w^2 - 1). This is the paper's (q-1)/(2 q^N) [G(z_n) prod_{l!=n} K(z_n, z_l)
 + (z -> 1/z)], G(z) = A(z)(qz - 1/z), K(z_n, z_m) = q (x(q z_n) - x_m)/(x_n - x_m), never
-divided by K's numerator (z_m - q z_n)(q z_n z_m - 1): only the point guards and x_n - x_m
-(z_n - z_m and z_n z_m - 1 on both halves) are genuine. M's spectrum is predicted by
+divided by K's numerator (z_m - q z_n)(q z_n z_m - 1). Only what the form divides by is
+guarded: z, z^2-1 and q*z^2-1 on both halves, and the one pair divisor x_n - x_m = (z_n -
+z_m)(z_n z_m - 1)/(2 z_n z_m), as x_n-x_m in numlin. M's spectrum is predicted by
 
     mu_n = q^(-N) (1 - q^n) (1 - abcd q^(2N-1-n)),    n = 1..N,
 
@@ -19,7 +20,8 @@ which depends on a,b,c,d only through the product abcd
 
 The terms (c, s) and their x-slopes are written once (_terms): the flow and M stack them,
 prop21_residuals takes them at WORKING_DPS digits, for numlin's
-ZeroSet.identity_residuals to form the identity.
+ZeroSet.identity_residuals to form the identity. All three run the point guards of
+_operator_terms, once per call.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .errors import clear, guard as _guard
 from .numlin import SpectralMatrix, ZeroSet, operator_matrix
 from .polyform import (
     AWParams,
-    ComplexScalar,
     DecimalComplex,
     _linear_products,
     _product_slope,
@@ -62,12 +63,6 @@ def _A(q, factors, z, guards=lambda *_: None, slope: bool = False):
     return value, (numerator_slope + value * 2 * z * (den1 + q * den0)) / (den0 * den1)
 
 
-def eval_A(p: AWParams, z: ComplexScalar) -> ComplexScalar:
-    """A(z) with guards on 1 - z^2 and 1 - q z^2; A(0) = 1. Elementwise."""
-    guards = lambda den0, den1: _guard((abs(den0), "z^2-1"), (abs(den1), "q*z^2-1"))
-    return _A(p.q, _A_factors(p), z, guards)
-
-
 def _guard_halves(*checks) -> None:
     """guard on magnitudes stacked by half as (2, ...), named as (z_n, 1/z_n) side by side."""
     if not clear(*(m for m, _ in checks)):
@@ -86,32 +81,22 @@ def _terms(q, factors, w, guards=lambda *_: None, slopes: bool = False) -> tuple
 
 
 def _operator_terms(p: AWParams, z: np.ndarray, slopes: bool = False) -> tuple:
-    """_terms on the halves w = z, 1/z of z (..., N), stacked as (2, ..., N), and pair_guards.
-    Each half is guarded as A: z, then z^2-1 and q*z^2-1; pair_guards as x_n - x_m, by
-    z_n-z_m and z_n*z_m-1 on both halves."""
+    """_terms on the halves w = z, 1/z of z (..., N), stacked as (2, ..., N), and the name of
+    the pair guard, x_n-x_m. Each half is guarded as A, after z: z^2-1 and q*z^2-1."""
     with np.errstate(divide="ignore", invalid="ignore"):  # the guard on z comes next
         w = np.array((z, 1.0 / z))
     _guard_halves((abs(w), "z"))
     guards = lambda den0, den1: _guard_halves((abs(den0), "z^2-1"), (abs(den1), "q*z^2-1"))
-    terms = _terms(p.q, _A_factors(p), w, guards, slopes)
-    wn, wm = w[..., :, None], w[..., None, :]
-    diff = wm - wn  # its diagonal is no pair; that of wn * wm - 1.0 passed the z^2-1 guard
-    diff.reshape(diff.shape[:-2] + (-1,))[..., :: z.shape[-1] + 1] = 1.0
-    pairs = lambda _: _guard_halves((abs(diff), "z_n-z_m"), (abs(wn * wm - 1.0), "z_n*z_m-1"))
-    return (*terms, pairs)
+    return (*_terms(p.q, _A_factors(p), w, guards, slopes), "x_n-x_m")
 
 
 def build_matrix_M(p: AWParams, zs: ZeroSet) -> SpectralMatrix:
-    """Assemble M from the zeros; its predicted spectrum is mu_1..mu_N. The point guards run
-    first, then those of _operator_terms, each naming the first failing point or pair."""
+    """Assemble M from the zeros; its predicted spectrum is mu_1..mu_N. The guards of
+    _operator_terms run in its order, before x is formed, each naming the first failing
+    point or pair."""
     z = np.asarray(zs.zbar, dtype=complex)
-    _guard(
-        (abs(z), "z"),
-        (abs(z * z - 1.0), "z^2-1"),
-        (abs(p.q * z * z - 1.0), "q*z^2-1"),
-        (abs(z * z - p.q), "z^2-q"),
-    )
-    entries = operator_matrix(0.5 * (z + 1.0 / z), *_operator_terms(p, z, slopes=True))
+    terms = _operator_terms(p, z, slopes=True)
+    entries = operator_matrix(0.5 * (z + 1.0 / z), *terms)
     predicted = np.array(spectrum_closed_form(p.q, p.product, p.shift, p.N))
     return SpectralMatrix(entries=entries, predicted=predicted, label="M")
 
@@ -132,7 +117,7 @@ def prop21_residuals(p: AWParams, zs: ZeroSet) -> np.ndarray:
     perturbed or hand-built is measured at its doubles and reports
     honestly large residuals.
     """
-    eval_A(p, np.asarray(zs.zbar, dtype=complex))  # enforce the guards on the stored zeros
+    _operator_terms(p, np.asarray(zs.zbar, dtype=complex))  # the point guards, on both halves
 
     def shifts():
         q = DecimalComplex.of(p.q)

@@ -20,7 +20,9 @@ Both families' flows take one operator form in two shifts (c, s), _operator_velo
 whose Jacobian at the zeros, M or L, is operator_matrix, and whose numerators at the zeros,
 sum_(+/-) c_+/-(t_n) P_N(s_+/-(t_n)) = 0, are the zero identities: ZeroSet.identity_residuals
 forms them at WORKING_DPS digits. awspec and racahspec supply each family's terms (c, s),
-written once for all three.
+written once for all three, with the point guards of their divisors. The form's one pair
+divisor, t_n - t_m, is guarded here (_differences), under the name the family gives it:
+x_n-x_m for Askey-Wilson, z_n-z_m for q-Racah.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, LengthMismatch, NoConvergence
+from .errors import DegenerateConfiguration, LengthMismatch, NoConvergence, guard
 from .polyform import (
     AWParams,
     ComplexScalar,
@@ -267,31 +269,34 @@ def christoffel_darboux_eigenvalues(entries: np.ndarray) -> np.ndarray:
     return eigenvalues(scaled if np.all(np.isfinite(scaled.view(float))) else entries)
 
 
-def _operator_velocity(t: np.ndarray, c: np.ndarray, s: np.ndarray, pair_guards) -> np.ndarray:
-    """The operator form at t (..., N), c and s stacked as (2, ..., N) by shift.
-    pair_guards(d) sees d = t_n - t_m before any division; row products run as per-row calls."""
-    step = t.shape[-1] + 1  # of the diagonal, in a flat view of each fresh (N, N) block
+def _differences(t: np.ndarray, pair: str) -> np.ndarray:
+    """d = t_n - t_m over the last axis of t (..., N), its diagonals 1: the one pair quantity
+    the operator form divides by, guarded as ``pair`` before any division by it."""
     d = t[..., :, None] - t[..., None, :]
-    d.reshape(d.shape[:-2] + (-1,))[..., ::step] = 1.0
-    pair_guards(d)
+    d.reshape(d.shape[:-2] + (-1,))[..., :: t.shape[-1] + 1] = 1.0
+    guard((abs(d), pair))
+    return d
+
+
+def _operator_velocity(t: np.ndarray, c: np.ndarray, s: np.ndarray, pair: str) -> np.ndarray:
+    """The operator form at t (..., N), c and s stacked as (2, ..., N) by shift, d = t_n - t_m
+    guarded as ``pair`` (_differences); row products run as per-row calls."""
+    d = _differences(t, pair)
     ratios = s[..., :, None] - t[..., None, :]
-    ratios.reshape(ratios.shape[:-2] + (-1,))[..., ::step] = 1.0
+    ratios.reshape(ratios.shape[:-2] + (-1,))[..., :: t.shape[-1] + 1] = 1.0
     ratios /= d
     return np.add(*(c * (s - t) * ratios.prod(axis=-1)))  # the two shifts' terms
 
 
-def operator_matrix(t, c, cp, s, sp, pair_guards) -> np.ndarray:
+def operator_matrix(t, c, cp, s, sp, pair: str) -> np.ndarray:
     """The Jacobian dv_n/dt_m of the operator form at t (N,), c, c' = dc/dt, s and s' = ds/dt
-    stacked as (2, N) by shift; pair_guards(d) as in _operator_velocity. With r_nl = (s_n -
+    stacked as (2, N) by shift; d = t_n - t_m guarded as ``pair``. With r_nl = (s_n -
     t_l)/(t_n - t_l), r_nn = s_n - t_n, Lam_nm = prod_{l!=m} r_nl (prefix times suffix products)
     and D_nm = 1/(t_n - t_m), D_nn = 0: J_nm = c_n (s_n - t_n) Lam_nm D_nm^2 and J_nn = c'_n
     prod_l r_nl + c_n [s'_n (sum_m Lam_nm D_nm + Lam_nn) - Lam_nn - prod_l r_nl sum_m D_nm].
     Nothing divides by s_n - t_m."""
     n = len(t)
-    d = t[:, None] - t[None, :]
-    np.fill_diagonal(d, 1.0)
-    pair_guards(d)
-    inv = 1.0 / d
+    inv = 1.0 / _differences(t, pair)
     np.fill_diagonal(inv, 0.0)
     r = (s[:, :, None] - t) * inv
     r[:, range(n), range(n)] = s - t

@@ -46,10 +46,10 @@ def check_base(q: complex, n: int) -> None:
         raise ValueError(f"q must differ from 0 and 1, got {q}")
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
+    if n > MAX_DEGREE:  # before the O(N) factor loop
+        raise ValueError(f"degree N = {n} exceeds the maximum degree {MAX_DEGREE}")
     with _double_range(q, n):
         _check_factors("q^-N", q**-n, q, n, "q is a low-order root of unity")
-    if n > MAX_DEGREE:
-        raise ValueError(f"degree N = {n} exceeds the maximum degree {MAX_DEGREE}")
 
 
 @contextlib.contextmanager

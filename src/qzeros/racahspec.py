@@ -13,7 +13,8 @@ With S = sqrt(z^2 - 4*gamma*delta*q) (either branch, used consistently),
 swaps (z^(+), B) with (z^(-), D), which is why every derived quantity is
 branch independent. The flow and L take numlin's operator form in t = z with
 (c, s) = (B, z^(+)), (D, z^(-)); L, its Jacobian at the N zeros, takes the slopes
-B', D' and C^(+/-) = dz^(+/-)/dz. Only the point guards and z_n - z_m are genuine.
+B', D' and C^(+/-) = dz^(+/-)/dz. Only what the form divides by is guarded: point_structure's
+point guards, and the one pair divisor z_n - z_m, as z_n-z_m in numlin.
 L has the closed-form spectrum
 
     lambda_n = q^(-N) (1 - q^n) (1 - alpha*beta q^(2N-n+1)),   n = 1..N
@@ -22,7 +23,8 @@ L has the closed-form spectrum
 
 Z, z^(+/-), B and D are written once (_structure), and the operator terms once from them
 (_PointStructure.terms): the flow and L stack them, prop23_residuals takes them at
-WORKING_DPS digits, for numlin's ZeroSet.identity_residuals to form the identity.
+WORKING_DPS digits, for numlin's ZeroSet.identity_residuals to form the identity. All three
+run point_structure's guards, once per call.
 """
 
 from __future__ import annotations
@@ -152,10 +154,10 @@ def _structure_of(p: RacahParams) -> Callable:
 
 
 def _operator_terms(p: RacahParams, z: np.ndarray, branch: int, slopes: bool = False) -> tuple:
-    """_PointStructure.terms at z (..., N), each stacked by shift as (2, ..., N), and
-    pair_guards; the point guards of point_structure run first, pair_guards on z_n - z_m."""
+    """_PointStructure.terms at z (..., N), each stacked by shift as (2, ..., N), after the
+    point guards of point_structure, and the name of the pair guard, z_n-z_m."""
     pt = point_structure(p, z, branch, derivatives=slopes)
-    return (*map(np.array, pt.terms()), lambda d: _guard((abs(d), "z_n-z_m")))
+    return (*map(np.array, pt.terms()), "z_n-z_m")
 
 
 def build_matrix_L(p: RacahParams, zs: ZeroSet, branch: int = +1) -> SpectralMatrix:

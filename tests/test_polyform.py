@@ -43,6 +43,15 @@ class TestParams:
         # nor of (P q^(N+1);q)_N at P = 1: each factor is about 1e-6
         polyform._check_degree(SimpleNamespace(q=1 - 1e-8, N=60, product=1.0, shift=1), "P")
 
+    def test_maximum_degree_checked_before_the_factor_loop(self, monkeypatch):
+        # at N = 10^8 the loop over the factors of (q^-N;q)_N alone would take seconds
+        def loop(*_):
+            raise AssertionError("_check_factors ran")
+
+        monkeypatch.setattr(polyform, "_check_factors", loop)
+        with pytest.raises(ValueError, match=f"maximum degree {polyform.MAX_DEGREE}"):
+            polyform.check_base(1 - 1e-7, 10**8)
+
     def test_root_of_unity_rejected(self):
         # q = -1, N = 2: (q^-2;q)_2 = (1 - 1)(1 + 1) has an exactly vanishing factor
         with pytest.raises(DegenerateDenominator):

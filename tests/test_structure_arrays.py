@@ -22,7 +22,7 @@ from qzeros.errors import (
 from qzeros.cli import run_verify
 from qzeros.numlin import compute_zero_set
 from qzeros.report import DEFAULT_TOLERANCES
-from qzeros.polyform import AWParams, x_to_z
+from qzeros.polyform import AWParams
 from qzeros.sweeps import SplitMix64, draw_aw_params, draw_racah_params, unit_direction
 from qzeros.zeroflow import FAMILIES
 
@@ -165,13 +165,13 @@ class TestGuards:
         xs[2] = xs[1]
         with pytest.raises(SingularConfiguration) as info:
             zeroflow.aw_velocity(p, xs)
-        assert info.value.guard == "z_n-z_m"
+        assert info.value.guard == "x_n-x_m"
         assert info.value.magnitude == 0.0
         zb = zs.zbar.copy()
         zb[2] = zb[1]
         with pytest.raises(SingularConfiguration) as info:
             awspec.build_matrix_M(p, dataclasses.replace(zs, zbar=zb))
-        assert info.value.guard == "z_n-z_m"
+        assert info.value.guard == "x_n-x_m"
 
     def test_coincident_racah_positions(self):
         p = draw_racah_params(SplitMix64(0), 0.6, 4)
@@ -183,17 +183,31 @@ class TestGuards:
         assert info.value.guard == "z_n-z_m"
         assert info.value.magnitude == 0.0
 
-    def test_near_collision_in_the_reciprocal_half(self):
-        # at |z| ~ 1e6, z_2 - z_1 = 2e-4 passes while 1/z_2 - 1/z_1 does not: the 1/z
-        # half of the pair guard names it, with the magnitude of 1/z_2 - 1/z_1
+    def test_pair_guard_is_x_n_minus_x_m_alone(self):
+        # at |z| ~ 1e6, 1/z_2 - 1/z_1 = 2e-16 while x_2 - x_1 = 1e-4: the form divides by
+        # x_n - x_m only, so the state passes; coincident x trip the one pair guard
         p = draw_aw_params(SplitMix64(0), 0.6, 4)
         xs = compute_zero_set(p, polish=False).xbar.copy()
-        xs[1], xs[2] = 5e5, 5e5 + 1e-4
+        near = xs.copy()
+        near[1], near[2] = 5e5, 5e5 + 1e-4
+        v = zeroflow.aw_velocity(p, near)
+        assert np.all(np.isfinite(v.view(float)))
+        assert np.array_equal(zeroflow.aw_velocity(p, np.stack([near, xs]))[0], v)
+        near[2] = near[1]
         with pytest.raises(SingularConfiguration) as info:
-            zeroflow.aw_velocity(p, xs)
-        w = 1.0 / x_to_z(xs)
-        assert info.value.guard == "z_n-z_m"
-        assert info.value.magnitude == abs(w[2] - w[1]) == 2.0000014895626451e-16
+            zeroflow.aw_velocity(p, near)
+        assert (info.value.guard, info.value.magnitude) == ("x_n-x_m", 0.0)
+
+    def test_vanishing_reciprocal_denominator_names_q_z2_minus_1(self):
+        # at q = 1/4 the 1/z half of z = 1/2 has 1 - q/z^2 = 0 exactly: the identities and M
+        # run the same point guards on both halves, and name it
+        p = draw_aw_params(SplitMix64(0), 0.25, 4)
+        zs = compute_zero_set(p)
+        bad = dataclasses.replace(zs, zbar=np.array([0.5, *zs.zbar[1:]]))
+        for run in (awspec.prop21_residuals, awspec.build_matrix_M):
+            with pytest.raises(SingularConfiguration) as info:
+                run(p, bad)
+            assert (info.value.guard, info.value.magnitude) == ("q*z^2-1", 0.0)
 
     def test_racah_seed0_q06_n24_shift_collision(self):
         # z_n^(-) meets another zero to 2.2e-13 here, a removable singularity: L builds, with
@@ -219,13 +233,19 @@ class TestGuards:
         assert (info.value.guard, info.value.magnitude) == ("z", 0.0)
 
     def test_first_failing_point_wins_over_guard_order(self):
-        # point 1 fails z^2-1 before point 2 fails z: points run in row-major order
+        # M guards as the velocity does: z on every point, then A's two denominators, so
+        # point 2's z is named before point 1's z^2-1; within one guard call points run in
+        # row-major order, so point 1's q*z^2-1 is named before point 2's z^2-1
         p = draw_aw_params(SplitMix64(0), 0.6, 3)
         zs = compute_zero_set(p, polish=False)
         bad = dataclasses.replace(zs, zbar=np.array([zs.zbar[0], 1.0, 0.0]))
         with pytest.raises(SingularConfiguration) as info:
             awspec.build_matrix_M(p, bad)
-        assert info.value.guard == "z^2-1"
+        assert info.value.guard == "z"
+        bad = dataclasses.replace(zs, zbar=np.array([zs.zbar[0], 0.6**-0.5, 1.0]))
+        with pytest.raises(SingularConfiguration) as info:
+            awspec.build_matrix_M(p, bad)
+        assert info.value.guard == "q*z^2-1"
 
     def test_racah_branch_degenerate_point(self):
         p = draw_racah_params(SplitMix64(0), 0.6, 3)
@@ -243,7 +263,7 @@ class TestGuards:
         rhs = lambda y: FAMILIES["aw"].velocity(p, y)
         with pytest.raises(SingularTrajectory) as info:
             zeroflow.integrate_flow(rhs, xs, t_end=0.01, dt_max=0.001)
-        assert "z_n-z_m" in str(info.value)
+        assert "x_n-x_m" in str(info.value)
         assert isinstance(info.value.__cause__, SingularConfiguration)
 
 
@@ -285,7 +305,7 @@ class TestScalarBehaviour:
             a_i, slope_i = awspec._A(p.q, awspec._A_factors(p), zi, slope=True)
             assert a_i == pytest.approx(a[i], rel=SCALAR_TOL)
             assert slope_i == pytest.approx(slope[i], rel=SCALAR_TOL)
-            assert awspec.eval_A(p, zi) == pytest.approx(a[i], rel=SCALAR_TOL)
+            assert awspec._A(p.q, awspec._A_factors(p), zi) == pytest.approx(a[i], rel=SCALAR_TOL)
         r = draw_racah_params(SplitMix64(2), 0.6, 5)
         zr = compute_zero_set(r, polish=False).zbar
         pts = racahspec.point_structure(r, zr, +1)

@@ -287,7 +287,7 @@ class TestFdJacobian:
             with pytest.raises(SingularConfiguration) as info:
                 jacobian(velocity(p), y)
             outcomes.append((info.value.guard, info.value.magnitude))
-        assert outcomes[0][0] == "z_n-z_m"
+        assert outcomes[0][0] == "x_n-x_m"
         assert outcomes[1] == outcomes[0]
 
     @pytest.mark.parametrize("family", ["aw", "racah"])
