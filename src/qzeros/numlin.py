@@ -310,23 +310,76 @@ def operator_matrix(t, c, cp, s, sp, pair: str) -> np.ndarray:
     return entries
 
 
+def _min_sum_assignment(cost: np.ndarray) -> np.ndarray:
+    """col4row of the min-sum assignment of a square cost matrix by shortest augmenting paths
+    (Jonker & Volgenant, Computing 38, 1987; Crouse, IEEE Trans. Aerosp. Electron. Syst. 52(4),
+    2016) in scipy.optimize.linear_sum_assignment's order of operations, so with its pairing,
+    ties included: duals u = v = 0, one Dijkstra per row in order on the reduced costs, columns
+    scanned from the last with swap-remove, a tie going to the last free column scanned, else
+    the first. A run of rows whose first step ends the search is assigned at once, u[i] =
+    min(cost[i] - v): each row's first minimal column (the last scanned) is free and no
+    earlier row of the run takes it. NaN or -inf costs and infeasible rows raise ValueError."""
+    if not np.all(cost > -np.inf):
+        raise ValueError("matrix contains invalid numeric entries")
+    n = len(cost)
+    u, v = np.zeros(n), np.zeros(n)  # the duals of the rows and of the columns
+    col4row, row4col, row = np.full(n, -1), np.full(n, -1), 0
+    while row < n:
+        reduced = cost[row:] - v
+        low, best = reduced.min(axis=1), reduced.argmin(axis=1)
+        ok = (low < np.inf) & (row4col[best] < 0)
+        order = np.argsort(best, kind="stable")  # by column, and by row within a column
+        ok[order[1:][np.diff(best[order]) == 0]] = False  # not the first row to take it
+        run = int(np.argmin(np.append(ok, False)))  # up to the first row that is not
+        rows = np.arange(row, row + run)
+        u[rows], col4row[rows], row4col[best[:run]], row = low[:run], best[:run], rows, row + run
+        if row == n:
+            break
+        shortest, path = np.full(n, np.inf), np.full(n, -1)
+        seen_rows, seen_cols, remaining = np.zeros(n, bool), np.zeros(n, bool), np.arange(n)[::-1]
+        i, left, min_val, sink = row, n, 0.0, -1
+        while sink < 0:
+            seen_rows[i], cols = True, remaining[:left]
+            r = min_val + cost[i, cols] - u[i] - v[cols]
+            closer = r < shortest[cols]
+            path[cols[closer]], shortest[cols[closer]] = i, r[closer]
+            min_val = shortest[cols].min()
+            if min_val == np.inf:
+                raise ValueError("cost matrix is infeasible")
+            tied = np.flatnonzero(shortest[cols] == min_val)
+            free = tied[row4col[cols[tied]] < 0]
+            index = free[-1] if len(free) else tied[0]
+            j, left = cols[index], left - 1
+            seen_cols[j], remaining[index] = True, remaining[left]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+        u[row] += min_val
+        seen_rows[row] = False
+        u[seen_rows] += min_val - shortest[col4row[seen_rows]]
+        v[seen_cols] -= min_val - shortest[seen_cols]
+        i = -1
+        while i != row:  # augment along the path back to the row
+            i = path[sink]
+            row4col[sink], col4row[i], sink = i, sink, col4row[i]
+        row += 1
+    return col4row
+
+
 def match_spectra(
     computed: Sequence[ComplexScalar], predicted: Sequence[ComplexScalar]
 ) -> SpectrumMatch:
-    """Optimal pairing (Hungarian method) minimizing total |computed - predicted|.
-
-    Relative gaps are normalized by max(1, |predicted|) per matched pair.
+    """Optimal pairing minimizing total |computed - predicted|: an exact min-sum assignment
+    by shortest augmenting paths whose pairing equals scipy's linear_sum_assignment, ties
+    included (_min_sum_assignment). Relative gaps are normalized by max(1, |predicted|) per
+    matched pair.
     """
-    from scipy.optimize import linear_sum_assignment  # imported here: qz flow never needs it
-
     comp = np.asarray(computed, dtype=complex)
     pred = np.asarray(predicted, dtype=complex)
     if comp.shape != pred.shape or comp.ndim != 1:
         raise LengthMismatch(f"cannot match {comp.shape} against {pred.shape}")
-    cost = np.abs(comp[:, None] - pred[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    pairing = np.empty_like(rows)
-    pairing[rows] = cols
+    pairing = _min_sum_assignment(np.abs(comp[:, None] - pred[None, :]))
     gaps = np.abs(comp - pred[pairing])
     rel = gaps / np.maximum(1.0, np.abs(pred[pairing]))
     return SpectrumMatch(

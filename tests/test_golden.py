@@ -37,14 +37,14 @@ RACAH = ["--family", "racah", "--alpha", "3", "--beta", "2", "--gamma", "0.25", 
 RACAH += ["-q", "0.5"]
 
 
-def _racah_seed0_q06_n24() -> list:
-    # the seed-0 draw where z_n^(-) meets another zero to 2e-13, a removable singularity of L
-    p = draw_racah_params(SplitMix64(0), 0.6, 24)
-    argv = ["verify", "--family", "racah"]
+def _racah_seed0(command: str, q: str, n: int) -> list:
+    """``qz command`` on the seed-0 q-Racah draw of the (q, N) cell."""
+    p = draw_racah_params(SplitMix64(0), float(q), n)
+    argv = [command, "--family", "racah"]
     for flag, value in (("--alpha", p.alpha), ("--beta", p.beta), ("--gamma", p.gamma),
                         ("--delta", p.delta)):
         argv += [flag, repr(complex(value))]
-    return argv + ["-q", "0.6", "-N", "24"]
+    return argv + ["-q", q, "-N", str(n)]
 
 
 def _cases() -> dict:
@@ -69,7 +69,11 @@ def _cases() -> dict:
         cases[name + ".json"] = argv
         cases[name + ".csv"] = argv + ["--format", "csv"]
     cases["verify-aw-n3-fails.json"] = ["verify", *AW, "-N", "3", "--tol", "spectrum_match=1e-300"]
-    cases["verify-racah-seed0-q0.6-n24.json"] = _racah_seed0_q06_n24()
+    # the seed-0 draw where z_n^(-) meets another zero to 2e-13, a removable singularity of L
+    cases["verify-racah-seed0-q0.6-n24.json"] = _racah_seed0("verify", "0.6", 24)
+    # eigenvalues in the q^-N cluster near-tie and tie in |computed - predicted|: the pairing
+    # pins the assignment's tie rule (the last free column scanned, scanning from the last)
+    cases["spectrum-racah-seed0-q0.3-n48.json"] = _racah_seed0("spectrum", "0.3", 48)
     return cases
 
 

@@ -3,12 +3,17 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment
 
 from monomial_oracle import monomial_coefficients
 from qzeros import awspec, polyform, racahspec
 from qzeros.cli import run_verify
 from qzeros.errors import DegenerateConfiguration, LengthMismatch
 from qzeros.numlin import (
+    _min_sum_assignment,
     christoffel_darboux_eigenvalues,
     compute_zero_set,
     eigenvalues,
@@ -173,6 +178,69 @@ class TestMatchSpectra:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             match_spectra(np.array([1.0]), np.array([1.0, 2.0]))
+
+    def test_empty(self):
+        match = match_spectra(np.array([]), np.array([]))
+        assert match.pairing.shape == (0,) and match.max_abs_gap == match.max_rel_gap == 0.0
+
+
+def square_costs(elements):
+    return st.integers(0, 30).flatmap(lambda n: hnp.arrays(float, (n, n), elements=elements))
+
+
+#: (size, seed) of a numpy-drawn cost matrix.
+SIZE_AND_SEED = (st.integers(0, 30), st.integers(0, 2**32 - 1))
+
+
+class TestMinSumAssignment:
+    """The pairing is scipy's linear_sum_assignment's, ties included, not only its total cost."""
+
+    @staticmethod
+    def same_as_scipy(cost):
+        rows, cols = linear_sum_assignment(cost)
+        assert np.array_equal(rows, np.arange(len(cost)))
+        assert np.array_equal(_min_sum_assignment(cost), cols)
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_costs(st.floats(0.0, 1.0)))
+    def test_uniform(self, cost):
+        self.same_as_scipy(cost)
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_costs(st.sampled_from([0.0, 1.0, 2.0])))
+    def test_integer_ties(self, cost):
+        self.same_as_scipy(cost)
+
+    @settings(max_examples=100, deadline=None)
+    @given(*SIZE_AND_SEED)
+    def test_clustered_complex(self, n, seed):
+        # |z_i - w_j| with repeated w and each z on a w or 1e-9 off it: the spectra's near-ties
+        rng = np.random.default_rng(seed)
+        centres = rng.normal(size=n // 3 + 1) + 1j * rng.normal(size=n // 3 + 1)
+        w, z = rng.choice(centres, n), rng.choice(centres, n)
+        z += 1e-9 * rng.integers(0, 2, n) * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        self.same_as_scipy(np.abs(z[:, None] - w[None, :]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(*SIZE_AND_SEED, st.sampled_from([0.0, 1e-12, 1e-3]))
+    def test_near_identity(self, n, seed, scale):
+        noise = np.random.default_rng(seed).normal(size=(n, n))
+        self.same_as_scipy(np.abs(np.eye(n) + scale * noise))
+
+    @pytest.mark.parametrize("entry", [np.nan, -np.inf])
+    def test_invalid_entry_raises(self, entry):
+        cost = np.ones((3, 3))
+        cost[1, 2] = entry
+        for solve in (linear_sum_assignment, _min_sum_assignment):
+            with pytest.raises(ValueError, match="invalid numeric entries"):
+                solve(cost)
+
+    def test_row_without_a_finite_cost_raises(self):
+        cost = np.ones((3, 3))
+        cost[1] = np.inf
+        for solve in (linear_sum_assignment, _min_sum_assignment):
+            with pytest.raises(ValueError, match="infeasible"):
+                solve(cost)
 
 
 class TestComputeZeroSet:

@@ -404,18 +404,20 @@ class TestParserReuse:
         assert "q*z^2-1" in reused[3][2]
 
 
-def test_flow_zeros_matrix_never_import_scipy():
+def test_no_subcommand_imports_scipy():
+    # scipy is in the test extra only: the library must run every subcommand without it
     import os
     import subprocess
     import sys
 
     import qzeros
 
+    commands = [[cmd, *AW_ARGS] for cmd in ("flow", "zeros", "matrix", "spectrum", "verify")]
+    commands.append(["sweep", "--family", "racah", "-q", "0.6", "-N", "5", "--count", "3"])
     script = (
         "import sys\n"
         "from qzeros.cli import main\n"
-        f"args = {AW_ARGS!r}\n"
-        "codes = [main([cmd, *args]) for cmd in ('flow', 'zeros', 'matrix')]\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qzeros.__file__)))
@@ -423,7 +425,7 @@ def test_flow_zeros_matrix_never_import_scipy():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"
+    assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
 
 
 class TestSweepMatchesVerify:
