@@ -31,14 +31,13 @@ import functools
 import numpy as np
 
 from .errors import clear, guard as _guard
-from .numlin import SpectralMatrix, ZeroSet, operator_matrix
+from .numlin import SpectralMatrix, ZeroSet, _spectral_matrix, operator_matrix
 from .polyform import (
     AWParams,
     DecimalComplex,
     _linear_products,
     _product_slope,
 )
-from .report import spectrum_closed_form
 
 
 @functools.lru_cache(maxsize=8)
@@ -92,13 +91,10 @@ def _operator_terms(p: AWParams, z: np.ndarray, slopes: bool = False) -> tuple:
 
 def build_matrix_M(p: AWParams, zs: ZeroSet) -> SpectralMatrix:
     """Assemble M from the zeros; its predicted spectrum is mu_1..mu_N. The guards of
-    _operator_terms run in its order, before x is formed, each naming the first failing
-    point or pair."""
+    _operator_terms run in its order, each naming the first failing point or pair."""
     z = np.asarray(zs.zbar, dtype=complex)
-    terms = _operator_terms(p, z, slopes=True)
-    entries = operator_matrix(0.5 * (z + 1.0 / z), *terms)
-    predicted = np.array(spectrum_closed_form(p.q, p.product, p.shift, p.N))
-    return SpectralMatrix(entries=entries, predicted=predicted, label="M")
+    entries = lambda: operator_matrix(0.5 * (z + 1.0 / z), *_operator_terms(p, z, slopes=True))
+    return _spectral_matrix(p, "M", entries)
 
 
 def prop21_residuals(p: AWParams, zs: ZeroSet) -> np.ndarray:

@@ -19,21 +19,18 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .checks import ANCHORS, CHECKS, Case
 from .errors import QZerosError, SingularTrajectory
-from .numlin import christoffel_darboux_eigenvalues, compute_zero_set, match_spectra
+from .numlin import compute_zero_set, match_spectra
 from .polyform import AWParams, RacahParams, check_base
 from .report import (
     VerificationReport,
     _c,
-    as_rational,
     emit_report,
     envelope,
-    rel_residual,
     render_csv,
     render_json,
     resolve_tolerances,
-    spectrum_closed_form,
-    trace_closed_form,
     write_output,
 )
 from .sweeps import SplitMix64, unit_direction
@@ -48,9 +45,6 @@ EXIT_USAGE = 4
 FLOW_DEFAULT_T_END = 0.05
 FLOW_DEFAULT_EPSILON = 1e-6
 SWEEP_DEFAULT_COUNT = 5
-
-#: Parameter scalings (t*a, b/t) resp. (t*alpha, beta/t) of the isospectrality check.
-ISOSPECTRAL_T_VALUES = (0.5, 2.0, 1.0 + 0.3j)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,6 +184,11 @@ def _emit_csv(args: argparse.Namespace, header: list, rows: list) -> str:
     return write_output(render_csv(header, rows), args.output_path)
 
 
+def _re_im(value) -> list:
+    """The CSV cells of a complex value."""
+    return [repr(float(value.real)), repr(float(value.imag))]
+
+
 def _cmd_zeros(args: argparse.Namespace, params, overrides: dict) -> tuple[str, int]:
     zs = compute_zero_set(params)
     if args.output_format == "json":
@@ -201,26 +200,17 @@ def _cmd_zeros(args: argparse.Namespace, params, overrides: dict) -> tuple[str, 
         }
         text = _emit_json(args, params, body)
     else:
-        rows = []
-        for i, z in enumerate(zs.zbar):
-            x = zs.xbar[i] if zs.xbar is not None else None
-            rows.append(
-                [
-                    i,
-                    repr(float(z.real)),
-                    repr(float(z.imag)),
-                    repr(float(x.real)) if x is not None else "",
-                    repr(float(x.imag)) if x is not None else "",
-                    repr(float(zs.residuals[i])),
-                ]
-            )
+        xs = zs.xbar if zs.xbar is not None else [None] * len(zs.zbar)
+        rows = [
+            [i, *_re_im(z), *(_re_im(x) if x is not None else ["", ""]), repr(float(r))]
+            for i, (z, x, r) in enumerate(zip(zs.zbar, xs, zs.residuals))
+        ]
         text = _emit_csv(args, ["index", "re_z", "im_z", "re_x", "im_x", "residual"], rows)
     return text, EXIT_OK
 
 
 def _cmd_matrix(args: argparse.Namespace, params, overrides: dict) -> tuple[str, int]:
-    zs = compute_zero_set(params)
-    mat = FAMILIES[args.family].build_matrix(params, zs)
+    mat = Case(params).mat
     if args.output_format == "json":
         body = {
             "label": mat.label,
@@ -229,20 +219,15 @@ def _cmd_matrix(args: argparse.Namespace, params, overrides: dict) -> tuple[str,
         }
         text = _emit_json(args, params, body)
     else:
-        rows = [
-            [i, j, repr(float(mat.entries[i, j].real)), repr(float(mat.entries[i, j].imag))]
-            for i in range(mat.size)
-            for j in range(mat.size)
-        ]
+        rows = [[i, j, *_re_im(v)] for (i, j), v in np.ndenumerate(mat.entries)]
         text = _emit_csv(args, ["row", "col", "re", "im"], rows)
     return text, EXIT_OK
 
 
 def _cmd_spectrum(args: argparse.Namespace, params, overrides: dict) -> tuple[str, int]:
     tols = resolve_tolerances(overrides)
-    zs = compute_zero_set(params)
-    mat = FAMILIES[args.family].build_matrix(params, zs)
-    computed = christoffel_darboux_eigenvalues(mat.entries)
+    case = Case(params)
+    mat, computed = case.mat, case.spectrum
     match = match_spectra(computed, mat.predicted)
     ok = match.max_rel_gap <= tols["spectrum_match"]
     if args.output_format == "json":
@@ -258,19 +243,10 @@ def _cmd_spectrum(args: argparse.Namespace, params, overrides: dict) -> tuple[st
         }
         text = _emit_json(args, params, body)
     else:
-        rows = []
-        for i, v in enumerate(computed):
-            p = mat.predicted[match.pairing[i]]
-            rows.append(
-                [
-                    i,
-                    repr(float(v.real)),
-                    repr(float(v.imag)),
-                    repr(float(p.real)),
-                    repr(float(p.imag)),
-                    repr(float(abs(v - p))),
-                ]
-            )
+        rows = [
+            [i, *_re_im(v), *_re_im(p), repr(float(abs(v - p)))]
+            for i, (v, p) in enumerate(zip(computed, mat.predicted[match.pairing]))
+        ]
         text = _emit_csv(
             args,
             ["index", "re_computed", "im_computed", "re_predicted", "im_predicted", "abs_gap"],
@@ -285,81 +261,17 @@ def run_verify(
     seed: int = 0,
     sweep: bool = False,
 ) -> VerificationReport:
-    """The verification suite for one parameter set of either family.
-
-    With ``sweep``, only the four checks a sweep reports per set: the zero
-    identities, the spectrum, the trace for k = 1 and the determinant.
-    Check failures are recorded in the report, never raised.
-    """
-    family = FAMILIES[params.family]
+    """The verification suite for one parameter set of either family: the rows of
+    checks.CHECKS (with ``sweep``, those a sweep runs) whose check applies, in order. Check
+    failures are recorded in the report, never raised."""
     tols = resolve_tolerances(tolerance_overrides)
-    match_tol = tols["spectrum_match"]
-    zs = compute_zero_set(params)
-    mat = family.build_matrix(params, zs)
-    entries, predicted = mat.entries, mat.predicted
-    report = VerificationReport(family=family.name, params=params, seed=seed)
-    ident, spec, cor = family.identity_ref, family.spectrum_ref, family.corollary_ref
-
-    residuals = family.residuals(params, zs)
-    report.add(f"{ident}-residuals", float(np.max(residuals)), tols["identity_residual"], [ident])
-    spectrum = christoffel_darboux_eigenvalues(entries)
-    report.add(f"{spec}-spectrum", match_spectra(spectrum, predicted).max_rel_gap, match_tol, [spec])
-    if params.N == 1 and not sweep:
-        delta = complex(entries[0, 0]) - complex(predicted[0])
-        report.add(f"matrix-{mat.label}-entry", rel_residual(delta, predicted[0]), match_tol, [spec])
-
-    # M and mu scaled by 2^-e <= 1/max|mu_n|, exactly, so that M^k and mu^k stay in the double
-    # range; the residual |tr - sum| / max(1, |sum|) is then formed at the scale 2^-ke
-    e = math.frexp(max(1.0, float(np.max(np.abs(predicted)))))[1]
-    scaled, mu = entries * math.ldexp(1.0, -e), predicted * math.ldexp(1.0, -e)
-    power = np.eye(len(entries), dtype=complex)
-    for k in (1,) if sweep else (1, 2, 3):
-        power = power @ scaled
-        target = complex(np.sum(mu**k))
-        floor = math.ldexp(1.0, max(-k * e, -1074))  # 2^-ke, or the least double above it
-        residual = rel_residual(complex(np.trace(power)) - target, target, floor)
-        report.add(f"{cor}.3-trace-k{k}", residual, match_tol, [f"{cor}.3"])
-    if not sweep:
-        closed = trace_closed_form(params)
-        residual = rel_residual(complex(np.trace(entries)) - closed, closed)
-        report.add(f"{cor}.3-trace-closed-form", residual, match_tol, [f"{cor}.3"])
-    # det = mu_1 ... mu_N, compared in log space: q^(-N^2) may leave the double range. The
-    # logs are complex (real mu may be negative); a singular matrix has log(sign) = -inf and
-    # gives ratio 0, and a ratio beyond the double range gives an inf residual
-    sign, logabsdet = np.linalg.slogdet(entries)
-    with np.errstate(divide="ignore", over="ignore"):
-        log_ratio = np.log(complex(sign)) + logabsdet - np.sum(np.log(predicted.astype(complex)))
-        residual = abs(np.exp(log_ratio) - 1)
-    report.add(f"{cor}.3-det", residual, match_tol, [f"{cor}.3"])
-    if sweep:
-        return report
-
-    qfrac, prodfrac = as_rational(params.q), as_rational(params.product)
-    if qfrac is not None and prodfrac is not None:
-        exact = spectrum_closed_form(qfrac, prodfrac, params.shift, params.N)
-        match = match_spectra(spectrum, np.array([float(f) for f in exact], dtype=complex))
-        report.add(f"{cor}.1-diophantine", match.max_rel_gap, tols["diophantine"], [f"{cor}.1"])
-
-    worst = None
-    for t in ISOSPECTRAL_T_VALUES:
-        try:
-            swept = family.isospectral(params, t)
-            zs_swept = compute_zero_set(swept, polish=False)
-            m_swept = family.build_matrix(swept, zs_swept)
-        except (QZerosError, ValueError):
-            # this scaling lands outside the admissible parameter set;
-            # isospectrality is only claimed within it
-            continue
-        swept_spectrum = christoffel_darboux_eigenvalues(m_swept.entries)
-        gap = match_spectra(swept_spectrum, spectrum).max_rel_gap
-        worst = gap if worst is None else max(worst, gap)
-    if worst is not None:
-        report.add(f"{cor}.2-isospectral", worst, match_tol, [f"{cor}.2"])
-
-    jac = zeroflow.fd_jacobian(lambda y: family.velocity(params, y), family.position(zs))
-    denom = np.maximum(np.abs(entries), 1e-3 * float(np.max(np.abs(entries))))
-    residual = float(np.max(np.abs(jac - entries) / denom))
-    report.add("flow-jacobian", residual, tols["fd_jacobian"], [family.flow_ref])
+    case = Case(params)
+    fields = {**ANCHORS[params.family], "label": case.mat.label}
+    report = VerificationReport(family=params.family, params=params, seed=seed)
+    for name, anchor, tolerance, in_sweep, check in CHECKS:
+        residual = check(case) if in_sweep or not sweep else None
+        if residual is not None:
+            report.add(name.format(**fields), residual, tols[tolerance], [anchor.format(**fields)])
     return report
 
 
@@ -395,15 +307,11 @@ def _cmd_flow(args: argparse.Namespace, params, overrides: dict) -> tuple[str, i
         }
         text = _emit_json(args, params, body)
     else:
-        header = ["step", "t"]
-        for k in range(n):
-            header += [f"re_{k}", f"im_{k}"]
-        rows = []
-        for i, (t, y) in enumerate(trajectory):
-            row = [i, repr(float(t))]
-            for v in y:
-                row += [repr(float(v.real)), repr(float(v.imag))]
-            rows.append(row)
+        header = ["step", "t", *(f"{part}_{k}" for k in range(n) for part in ("re", "im"))]
+        rows = [
+            [i, repr(float(t)), *(cell for v in y for cell in _re_im(v))]
+            for i, (t, y) in enumerate(trajectory)
+        ]
         text = _emit_csv(args, header, rows)
     return text, EXIT_OK
 

@@ -46,6 +46,7 @@ from .polyform import (
     recurrence_coefficients,
     x_to_z,
 )
+from .report import spectrum_closed_form
 
 #: A double-precision polish must end on a relative Newton step at most this large.
 RESIDUAL_BOUND = 1e-10
@@ -308,6 +309,17 @@ def operator_matrix(t, c, cp, s, sp, pair: str) -> np.ndarray:
     diag = cp * full + c * (sp * (np.sum(lam * inv, axis=-1) + lam_nn) - lam_nn - full * inv.sum(1))
     entries[range(n), range(n)] = diag.sum(axis=0)
     return entries
+
+
+def _spectral_matrix(p: Union[AWParams, RacahParams], label: str, entries) -> SpectralMatrix:
+    """The matrix entries(), run without numpy warnings, and its closed-form spectrum; an entry
+    that leaves the double range raises NoConvergence."""
+    with np.errstate(all="ignore"):
+        values = entries()
+    if not np.all(np.isfinite(values.view(float))):
+        raise NoConvergence(f"the entries of {label} leave the double range")
+    predicted = np.array(spectrum_closed_form(p.q, p.product, p.shift, p.N))
+    return SpectralMatrix(entries=values, predicted=predicted, label=label)
 
 
 def _min_sum_assignment(cost: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GUARD_EPS, BranchDegenerate, clear, first_failure, guard as _guard
-from .numlin import SpectralMatrix, ZeroSet, operator_matrix
+from .numlin import SpectralMatrix, ZeroSet, _spectral_matrix, operator_matrix
 from .polyform import (
     ComplexScalar,
     DecimalComplex,
@@ -45,7 +45,6 @@ from .polyform import (
     _product_slope,
     _sqrt,
 )
-from .report import spectrum_closed_form
 
 
 @dataclass
@@ -164,9 +163,8 @@ def build_matrix_L(p: RacahParams, zs: ZeroSet, branch: int = +1) -> SpectralMat
     """Assemble L from the zeros; its predicted spectrum is lambda_1..lambda_N. The guards of
     _operator_terms run in its order, each naming the first failing point or pair."""
     z = np.asarray(zs.zbar, dtype=complex)
-    entries = operator_matrix(z, *_operator_terms(p, z, branch, slopes=True))
-    predicted = np.array(spectrum_closed_form(p.q, p.product, p.shift, p.N))
-    return SpectralMatrix(entries=entries, predicted=predicted, label="L")
+    entries = lambda: operator_matrix(z, *_operator_terms(p, z, branch, slopes=True))
+    return _spectral_matrix(p, "L", entries)
 
 
 def prop23_residuals(p: RacahParams, zs: ZeroSet, branch: int = +1) -> np.ndarray:

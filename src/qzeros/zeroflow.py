@@ -83,10 +83,6 @@ class Family:
     velocity: Callable  # (params, positions) -> velocities
     isospectral: Callable  # (params, t) -> parameters with the same product
     position: Callable  # ZeroSet -> the zeros in flow coordinates
-    identity_ref: str  # the zero identities
-    spectrum_ref: str  # the closed-form spectrum and the matrix entries
-    corollary_ref: str  # + ".1" rationality, ".2" isospectrality, ".3" trace/det
-    flow_ref: str  # the flow and its Jacobian
 
     @property
     def name(self) -> str:
@@ -108,10 +104,6 @@ AW = Family(
     velocity=lambda p, y: aw_velocity(p, y),
     isospectral=lambda p, t: replace(p, a=t * p.a, b=p.b / t),
     position=lambda zs: zs.xbar,
-    identity_ref="prop2.1",
-    spectrum_ref="prop2.2",
-    corollary_ref="cor2.2",
-    flow_ref="sec3.1",
 )
 
 RACAH = Family(
@@ -123,10 +115,6 @@ RACAH = Family(
     velocity=lambda p, y: racah_velocity(p, y),
     isospectral=lambda p, t: replace(p, alpha=t * p.alpha, beta=p.beta / t),
     position=lambda zs: zs.zbar,
-    identity_ref="prop2.3",
-    spectrum_ref="prop2.4",
-    corollary_ref="cor2.4",
-    flow_ref="sec3.2",
 )
 
 FAMILIES = {family.name: family for family in (AW, RACAH)}

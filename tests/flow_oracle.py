@@ -22,6 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import expm
 
+from qzeros.checks import ANCHORS
 from qzeros.errors import (
     BranchDegenerate,
     DegenerateConfiguration,
@@ -78,7 +79,7 @@ def linearization_check(
     denom = max(float(np.max(np.abs(predicted))), float(np.finfo(float).tiny))
     deviation = float(np.max(np.abs(actual - predicted))) / denom
     report = VerificationReport(family=family.name, params=params)
-    report.add("flow-linearization", deviation, LINEARIZATION_TOL, [family.flow_ref])
+    report.add("flow-linearization", deviation, LINEARIZATION_TOL, [ANCHORS[family.name]["flow"]])
     return report
 
 

@@ -74,6 +74,10 @@ def _cases() -> dict:
     # eigenvalues in the q^-N cluster near-tie and tie in |computed - predicted|: the pairing
     # pins the assignment's tie rule (the last free column scanned, scanning from the last)
     cases["spectrum-racah-seed0-q0.3-n48.json"] = _racah_seed0("spectrum", "0.3", 48)
+    # the README sets at a q that is not rational: the reports skip the diophantine check
+    complex_q = ["-q", "0.5+0.2i"]
+    cases["verify-aw-complex-q.csv"] = ["verify", *AW[:-2], *complex_q, "-N", "3", "--format", "csv"]
+    cases["verify-racah-complex-q.json"] = ["verify", *RACAH[:-2], *complex_q, "-N", "2"]
     return cases
 
 

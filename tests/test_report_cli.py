@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qzeros import zeroflow
+from qzeros.checks import ANCHORS
 from qzeros.cli import main, parse_complex
 from qzeros.polyform import AWParams
 from qzeros.report import (
@@ -501,7 +502,7 @@ class TestLogSpaceDeterminant:
             argv += [flag, repr(complex(getattr(params, name)))]
         assert main(argv) == 0
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-        assert checks[f"{record.corollary_ref}.3-det"]["residual"] <= 1e-11
+        assert checks[f"{ANCHORS[family]['corollary']}.3-det"]["residual"] <= 1e-11
 
     def test_real_typed_parameters(self):
         # the README example: real-typed parameters, real negative eigenvalues, whose
@@ -556,6 +557,30 @@ class TestRecurrenceCancellation:
                 "-q", "0.5", "-N", "3"]
         assert main(argv) == 2
         assert "cancels" not in capsys.readouterr().err
+
+
+#: Admitted parameter sets whose double M resp. L overflows in the operator terms.
+OVERFLOWING_MATRIX = {
+    "aw": ["--family", "aw", "-a", "122.30244148024563-1772.8021162216535i",
+           "-b", "6.524243634706195e+193-2.6283743988553332e+194i",
+           "-c", "0.07007088618702835-0.055549178942126895i",
+           "-d", "1.0360285472060934e+127-1.3400701527959668e+128i", "-q", "1.5", "-N", "2"],
+    "racah": ["--family", "racah", "--alpha", "3.1115110278392106e+268+1.8076059464860208e+268i",
+              "--beta", "1.9480852642350595e+98-1.0852880629302457e+98i",
+              "--gamma", "4.136573082208146-2.6303610209570394i",
+              "--delta", "173187920.3225387-132586678.62304156i", "-q", "1.5", "-N", "2"],
+}
+
+
+@pytest.mark.parametrize("command", [["matrix"], ["matrix", "--format", "csv"], ["spectrum"],
+                                     ["verify"]])
+@pytest.mark.parametrize("family", OVERFLOWING_MATRIX)
+def test_matrix_beyond_the_double_range_exits_3(capsys, family, command):
+    # under the RuntimeWarning-as-error filter, so the build emits no numpy warning either
+    assert main([command[0], *OVERFLOWING_MATRIX[family], *command[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "leave the double range" in captured.err
 
 
 def test_public_names():
